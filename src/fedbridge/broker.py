@@ -11,8 +11,10 @@ assertion consumer endpoint. Flow B is the mirror image through
 The broker holds exactly two pieces of mutable state: the correlation
 store tying the outbound leg back to the inbound one (entries expire and
 are consumed at most once, atomically) and the seen-request-id set that
-rejects replays. It never sees a credential; the client authenticates
-against the identity provider directly.
+rejects replays. Each drops its expired entries as new ones arrive, so
+both stay bounded by request rate x TTL, abandoned flows included. It
+never sees a credential; the client authenticates against the identity
+provider directly.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import logging
 import secrets
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 from .bindings import (
@@ -109,15 +112,45 @@ class CorrelationEntry:
     outbound_request_id: str = ""
 
 
-class CorrelationStore:
-    """Consume-once TTL store; concurrent duplicate consumes get exactly one hit."""
+class _ExpiringMap:
+    """An insertion-ordered map and its lock, swept from the front.
+
+    Every entry of one map lives for the same TTL, so insertion order is
+    also expiry order: a sweep pops expired entries off the front and stops
+    at the first live one. Insert, pop and sweep are O(1) amortised, no
+    entry is dropped before its own TTL has passed, and the map holds what
+    arrived within the last TTL. Only a wall clock stepping back leaves an
+    expired entry behind a live one, until the live one expires.
+    """
 
     def __init__(self) -> None:
-        self._entries: dict[str, CorrelationEntry] = {}
+        self._entries: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
+
+    def _expired(self, value, now: float) -> bool:
+        raise NotImplementedError
+
+    def _sweep(self, now: float) -> None:
+        """Drop the expired entries at the front; the caller holds the lock."""
+        entries = self._entries
+        while entries and self._expired(next(iter(entries.values())), now):
+            entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+class CorrelationStore(_ExpiringMap):
+    """Consume-once TTL store; concurrent duplicate consumes get exactly one hit."""
+
+    _entries: OrderedDict[str, CorrelationEntry]
+
+    def _expired(self, entry: CorrelationEntry, now: float) -> bool:
+        return now - entry.created > entry.ttl
 
     def put(self, entry: CorrelationEntry) -> None:
         with self._lock:
+            self._sweep(time.time())
             self._entries[entry.correlation_id] = entry
 
     def consume(self, correlation_id: str) -> CorrelationEntry:
@@ -125,30 +158,33 @@ class CorrelationStore:
             entry = self._entries.pop(correlation_id, None)
         if entry is None:
             raise UnknownCorrelation(correlation_id)
-        if time.time() - entry.created > entry.ttl:
+        # An entry past its TTL that no put has swept yet.
+        if self._expired(entry, time.time()):
             raise ExpiredCorrelation(correlation_id)
         return entry
 
-    def __len__(self) -> int:
-        return len(self._entries)
 
-
-class SeenRequestIds:
+class SeenRequestIds(_ExpiringMap):
     """Replay guard: a request id may be presented once per TTL window."""
 
+    _entries: OrderedDict[tuple[str, str], float]
+
     def __init__(self, ttl: float) -> None:
+        super().__init__()
         self._ttl = ttl
-        self._seen: dict[tuple[str, str], float] = {}
-        self._lock = threading.Lock()
+
+    def _expired(self, seen_at: float, now: float) -> bool:
+        return now - seen_at > self._ttl
 
     def observe(self, issuer: EntityId, request_id: str) -> None:
-        now = time.time()
         key = (issuer.value, request_id)
         with self._lock:
-            self._seen = {k: t for k, t in self._seen.items() if now - t <= self._ttl}
-            if key in self._seen:
+            now = time.time()
+            self._sweep(now)
+            seen_at = self._entries.get(key)
+            if seen_at is not None and not self._expired(seen_at, now):
                 raise Replay(f"request id {request_id} already seen from {issuer}")
-            self._seen[key] = now
+            self._entries[key] = now
 
 
 class Broker:

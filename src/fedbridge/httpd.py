@@ -75,6 +75,9 @@ def error_response(error: FedBridgeError) -> HttpResponse:
 class _RouteServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
+    # socketserver's default listen backlog of 5 resets connections when a
+    # burst of clients connects at once.
+    request_queue_size = 128
 
     def __init__(self, address, routes: dict[tuple[str, str], RouteHandler], name: str):
         super().__init__(address, _Handler)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -17,6 +18,7 @@ from fedbridge.broker import (
     CorrelationEntry,
     CorrelationStore,
     PERSISTENT_NAMEID_FORMAT,
+    SeenRequestIds,
     TRANSIENT_NAMEID_FORMAT,
 )
 from fedbridge.bindings import (
@@ -430,6 +432,130 @@ class TestCorrelationStore:
             t.join()
         assert len(wins) == 1
         assert len(losses) == 7
+
+
+class FakeClock:
+    def __init__(self, now: float) -> None:
+        self.now = now
+
+    def __call__(self) -> float:
+        return self.now
+
+
+@pytest.fixture
+def clock(monkeypatch) -> FakeClock:
+    fake = FakeClock(1_000.0)
+    monkeypatch.setattr("fedbridge.broker.time.time", fake)
+    return fake
+
+
+def correlation(correlation_id: str, created: float, ttl: float = 300.0) -> CorrelationEntry:
+    return CorrelationEntry(
+        correlation_id=correlation_id,
+        original_request_id="_r",
+        origin_sp=EntityId(SAML_SP),
+        origin_dialect=Dialect.SAML2,
+        acs_or_return_url="https://sp/acs",
+        created=created,
+        ttl=ttl,
+    )
+
+
+class TestExpiringState:
+    """Both stores drop what has expired as new entries arrive, and nothing
+    earlier: an entry exactly one TTL old is still live."""
+
+    def test_replay_guard_drops_expired_ids(self, clock):
+        guard = SeenRequestIds(ttl=10.0)
+        for n in range(100):
+            guard.observe(EntityId(SAML_SP), f"_r{n}")
+            clock.now += 1.0
+        # The last observe, at 1099, keeps the IDs seen from 1089 on.
+        assert len(guard) == 11
+
+    def test_replay_within_ttl_refused(self, clock):
+        guard = SeenRequestIds(ttl=10.0)
+        guard.observe(EntityId(SAML_SP), "_r1")
+        clock.now += 5.0
+        guard.observe(EntityId(SAML_SP), "_r2")
+        with pytest.raises(Replay):
+            guard.observe(EntityId(SAML_SP), "_r1")
+
+    def test_replay_window_boundary(self, clock):
+        guard = SeenRequestIds(ttl=10.0)
+        guard.observe(EntityId(SAML_SP), "_r1")
+        clock.now += 10.0
+        with pytest.raises(Replay):
+            guard.observe(EntityId(SAML_SP), "_r1")
+        clock.now += 0.5
+        guard.observe(EntityId(SAML_SP), "_r1")
+        with pytest.raises(Replay):
+            guard.observe(EntityId(SAML_SP), "_r1")
+
+    def test_expired_id_behind_a_live_one_accepted(self, clock):
+        guard = SeenRequestIds(ttl=10.0)
+        guard.observe(EntityId(SAML_SP), "_r1")
+        clock.now -= 5.0  # the wall clock steps back
+        guard.observe(EntityId(SAML_SP), "_r2")
+        clock.now += 12.0
+        # _r2 is 12 s old, but the sweep stops at _r1, which is 7 s old.
+        guard.observe(EntityId(SAML_SP), "_r2")
+        with pytest.raises(Replay):
+            guard.observe(EntityId(SAML_SP), "_r1")
+
+    def test_concurrent_observe_accepts_each_id_once(self):
+        guard = SeenRequestIds(ttl=300.0)
+        ids = [f"_r{n}" for n in range(200)]
+        accepted: list[str] = []
+        barrier = threading.Barrier(8)
+
+        def observe_all(order: list[str]) -> None:
+            barrier.wait()
+            for request_id in order:
+                try:
+                    guard.observe(EntityId(SAML_SP), request_id)
+                except Replay:
+                    continue
+                accepted.append(request_id)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=observe_all, args=(ids[k:] + ids[:k],))
+                for k in range(0, 200, 25)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(accepted) == sorted(ids)
+        assert len(guard) == 200
+
+    def test_abandoned_correlations_swept(self, clock):
+        store = CorrelationStore()
+        for n in range(500):
+            store.put(correlation(f"c{n}", created=clock.now))
+        clock.now += 300.0
+        store.put(correlation("at-ttl", created=clock.now))
+        assert len(store) == 501
+        clock.now += 300.5
+        store.put(correlation("last", created=clock.now))
+        assert len(store) == 1
+        assert store.consume("last").correlation_id == "last"
+
+    def test_expired_entry_not_yet_swept(self, clock):
+        store = CorrelationStore()
+        store.put(correlation("c1", created=clock.now))
+        clock.now += 300.5
+        assert len(store) == 1
+        with pytest.raises(ExpiredCorrelation):
+            store.consume("c1")
+        with pytest.raises(UnknownCorrelation):
+            store.consume("c1")
 
 
 class TestStructuredLog:

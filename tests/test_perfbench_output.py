@@ -1,0 +1,53 @@
+"""The benchmark's output contract: a short run of each workload exits 0,
+writes nothing to standard error, and ends its standard output with one
+strict-JSON result line that is correct and carries every end-to-end metric
+named in BENCHMARK.json as a finite number.
+
+Anything the program prints, logs or warns at exit lands after that line
+and breaks the contract, with the two streams apart or merged.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
+END_TO_END = [metric["name"] for metric in BENCHMARK["end_to_end"]]
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite constant {name} in the result line")
+
+
+def _run(workload: str, merged: bool) -> subprocess.CompletedProcess:
+    command = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+               "--seed", "1", "--seconds", "0.1"]
+    return subprocess.run(command, cwd=ROOT, stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT if merged else subprocess.PIPE,
+                          text=True, timeout=300)
+
+
+@pytest.mark.parametrize("merged", [False, True], ids=["split", "merged"])
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_result_is_last_line(workload, merged):
+    done = _run(workload, merged)
+    assert done.returncode == 0, done.stdout + (done.stderr or "")
+    if not merged:
+        assert done.stderr == ""
+    lines = done.stdout.splitlines()
+    assert lines, "no output"
+    result = json.loads(lines[-1], parse_constant=_reject_constant)
+    assert result["correct"] is True
+    metrics = result["metrics"]
+    assert [name for name in END_TO_END if name not in metrics] == []
+    for name in END_TO_END:
+        value = metrics[name]["value"]
+        assert isinstance(value, (int, float)) and math.isfinite(value), (name, value)
