@@ -8,6 +8,12 @@ request toward the token service, and the issued assertion comes back on
 assertion consumer endpoint. Flow B is the mirror image through
 /wsfed/signin and /saml/acs.
 
+Everything a request needs from the configuration is resolved once, when
+the broker starts, into a frozen ``RequestPlan``: the identity provider each
+service provider is bridged to and the WS-Federation provider behind each
+reply address. The keys come loaded, on their ``KeyRecord``. So no request
+walks the trust graph or rebuilds a key object.
+
 The broker holds exactly two pieces of mutable state: the correlation
 store tying the outbound leg back to the inbound one (entries expire and
 are consumed at most once, atomically) and the seen-request-id set that
@@ -26,6 +32,8 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from types import MappingProxyType
+from typing import Mapping
 
 from .bindings import (
     PostMessage,
@@ -79,7 +87,7 @@ from .translate import (
     rstr_to_saml_response,
     saml_response_to_rstr,
 )
-from .trust import Dialect, FederationEntity, Role, resolve_path
+from .trust import Dialect, FederationEntity, Role, TrustTopology, resolve_path
 
 logger = logging.getLogger(__name__)
 
@@ -187,6 +195,64 @@ class SeenRequestIds(_ExpiringMap):
             self._entries[key] = now
 
 
+@dataclass(frozen=True)
+class RequestPlan:
+    """The request-time lookups, compiled from the topology at start.
+
+    The topology never changes while the broker runs, so neither does the
+    identity provider it bridges each service provider to, nor the
+    WS-Federation provider that replies at each address. A lookup that
+    finds nothing still fails the request: ``NoTrustPath`` for a provider
+    the broker does not bridge, ``UnknownIssuer`` for an unknown address.
+    """
+
+    bridged_ips: Mapping[EntityId, FederationEntity | None]
+    wsfed_sps_by_reply_to: Mapping[str, FederationEntity]
+
+    @classmethod
+    def compile(cls, topology: TrustTopology, broker_id: EntityId) -> RequestPlan:
+        idps = topology.by_role(Role.IDENTITY_PROVIDER)
+        sps = topology.by_role(Role.SERVICE_PROVIDER)
+        bridged_ips: dict[EntityId, FederationEntity | None] = {}
+        reply_to: dict[str, FederationEntity] = {}
+        for sp in sps:
+            bridged_ips[sp.id] = next(
+                (ip for ip in idps if ip.dialect is not sp.dialect
+                 and _bridges(topology, broker_id, sp, ip)),
+                None,
+            )
+            address = sp.endpoints.get("return")
+            if sp.dialect is Dialect.WSFED11B and address is not None:
+                # Providers sharing an address: the first by entity ID wins.
+                reply_to.setdefault(address, sp)
+        return cls(MappingProxyType(bridged_ips), MappingProxyType(reply_to))
+
+    def bridged_ip(self, sp: FederationEntity) -> FederationEntity:
+        """The identity provider this broker bridges the given SP to."""
+        ip = self.bridged_ips.get(sp.id)
+        if ip is None:
+            raise NoTrustPath(f"no identity provider brokered for {sp.id}")
+        return ip
+
+    def wsfed_sp(self, reply_to: str) -> FederationEntity:
+        try:
+            return self.wsfed_sps_by_reply_to[reply_to]
+        except KeyError:
+            raise UnknownIssuer(
+                f"no registered service provider replies at {reply_to}"
+            ) from None
+
+
+def _bridges(
+    topology: TrustTopology, broker_id: EntityId, sp: FederationEntity, ip: FederationEntity
+) -> bool:
+    try:
+        path = resolve_path(topology, sp.id, ip.id)
+    except (NoTrustPath, UnknownEntity):
+        return False
+    return len(path) == 3 and path[1] == broker_id
+
+
 class Broker:
     """Protocol-level broker; the HTTP surface is a thin adapter over the
     four handle_* operations so they stay directly exercisable."""
@@ -200,6 +266,7 @@ class Broker:
         self.correlations = CorrelationStore()
         self.seen_ids = SeenRequestIds(config.replay_ttl)
         self.pseudonyms = PseudonymRegistry()
+        self.plan = RequestPlan.compile(self.topology, self.broker_id)
 
     # -- helpers -------------------------------------------------------------
 
@@ -211,22 +278,6 @@ class Broker:
         if entity.role is not Role.SERVICE_PROVIDER or entity.dialect is not dialect:
             raise UnknownIssuer(f"{issuer} is not a registered {dialect.value} service provider")
         return entity
-
-    def _remote_ip(self, sp: FederationEntity, dialect: Dialect) -> FederationEntity:
-        """The identity provider this broker bridges the given SP to."""
-        candidates = []
-        for ip in self.topology.by_role(Role.IDENTITY_PROVIDER):
-            if ip.dialect is not dialect:
-                continue
-            try:
-                path = resolve_path(self.topology, sp.id, ip.id)
-            except (NoTrustPath, UnknownEntity):
-                continue
-            if len(path) == 3 and path[1] == self.broker_id:
-                candidates.append(ip)
-        if not candidates:
-            raise NoTrustPath(f"no {dialect.value} identity provider brokered for {sp.id}")
-        return candidates[0]
 
     def _pseudonym_transform(self, sp: EntityId, session: str) -> AssertionTransform | None:
         mode = self.config.pseudonym_modes.get(sp.value, "none")
@@ -249,6 +300,8 @@ class Broker:
         return rewrite
 
     def _log_leg(self, leg: str, direction: str, correlation_id: str, outcome: str) -> None:
+        if not logger.isEnabledFor(logging.INFO):
+            return
         logger.info(
             json.dumps(
                 {
@@ -278,12 +331,16 @@ class Broker:
         if not acs_url:
             raise ProtocolError(f"{sp.id} has no assertion consumer endpoint")
 
-        ip = self._remote_ip(sp, Dialect.WSFED11B)
+        ip = self.plan.bridged_ip(sp)
         correlation_id = _fresh_correlation_id()
-        rst = authn_request_to_rst(req, self.config.ctx_map, context=correlation_id)
         # The token must come back through this broker, not go straight to
         # the origin provider; its consumer URL lives in the correlation entry.
-        rst = replace(rst, reply_to=self.config.broker_entity.endpoint("wsfed_return"))
+        rst = authn_request_to_rst(
+            req,
+            self.config.ctx_map,
+            context=correlation_id,
+            reply_to=self.config.broker_entity.endpoint("wsfed_return"),
+        )
 
         self.correlations.put(
             CorrelationEntry(
@@ -334,8 +391,8 @@ class Broker:
         if rst.token_type != SAML2_ASSERTION_TOKEN_TYPE:
             raise UnsupportedTokenType(rst.token_type)
 
-        sp = self._wsfed_sp_by_reply_to(rst.reply_to)
-        ip = self._remote_ip(sp, Dialect.SAML2)
+        sp = self.plan.wsfed_sp(rst.reply_to)
+        ip = self.plan.bridged_ip(sp)
 
         correlation_id = _fresh_correlation_id()
         outbound_request_id = fresh_id()
@@ -363,12 +420,6 @@ class Broker:
         )
         self._log_leg("wsfed_signin", "sp->broker->ip", correlation_id, "redirected")
         return encode_saml_redirect(saml_req, correlation_id, ip.endpoint("sso"))
-
-    def _wsfed_sp_by_reply_to(self, reply_to: str) -> FederationEntity:
-        for sp in self.topology.by_role(Role.SERVICE_PROVIDER):
-            if sp.dialect is Dialect.WSFED11B and sp.endpoints.get("return") == reply_to:
-                return sp
-        raise UnknownIssuer(f"no registered service provider replies at {reply_to}")
 
     def handle_saml_acs(self, fields: dict[str, str]) -> PostMessage:
         """SAML response comes back; re-sign the assertion into an RSTR."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 import base64
 import re
 import secrets
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from typing import TypeVar, Union
@@ -41,6 +41,8 @@ SIG_NS = "urn:x-fedbridge:detached-sig"
 STATUS_URI_PREFIX = "urn:oasis:names:tc:SAML:2.0:status:"
 
 _INSTANT_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+# _INSTANT_FORMAT with every field at its full width, in ASCII digits.
+_FIXED_INSTANT = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z", re.ASCII)
 
 # XML 1.0 cannot represent these code points at all, so they are invalid in
 # any document field.
@@ -62,7 +64,17 @@ def format_instant(dt: datetime) -> str:
 
 
 def parse_instant(text: str, element: str) -> datetime:
+    """The instant ``text`` names, read exactly as ``strptime`` reads it.
+
+    The fixed-width form that ``format_instant`` writes is read field by
+    field, several times faster; any other text (unpadded fields,
+    surrounding whitespace, non-ASCII digits, lower case) goes to
+    ``strptime`` itself.
+    """
+    fixed = _FIXED_INSTANT.fullmatch(text)
     try:
+        if fixed is not None:
+            return datetime(*map(int, fixed.groups()), tzinfo=timezone.utc)
         return datetime.strptime(text.strip(), _INSTANT_FORMAT).replace(
             tzinfo=timezone.utc
         )
@@ -79,6 +91,8 @@ def _check_text(value: str, field_name: str) -> str:
 def _normalize_instant(value: datetime, field_name: str) -> datetime:
     if not isinstance(value, datetime) or value.tzinfo is None:
         raise InvariantViolation(f"{field_name} must be a timezone-aware datetime")
+    if value.tzinfo is timezone.utc and not value.microsecond:
+        return value
     return value.astimezone(timezone.utc).replace(microsecond=0)
 
 
@@ -300,7 +314,7 @@ TDoc = TypeVar("TDoc", bound=ProtocolDocument)
 # ---------------------------------------------------------------------------
 
 
-def _serialize_authn_request(req: SamlAuthnRequest) -> str:
+def _serialize_authn_request(req: SamlAuthnRequest, signed: bool) -> str:
     parts = [
         f'<samlp:AuthnRequest xmlns:samlp="{SAMLP_NS}" xmlns:saml="{SAML_NS}"',
         _attr("ID", req.id),
@@ -326,7 +340,7 @@ def _serialize_authn_request(req: SamlAuthnRequest) -> str:
     return "".join(parts)
 
 
-def _serialize_assertion(a: SamlAssertion) -> str:
+def _serialize_assertion(a: SamlAssertion, signed: bool) -> str:
     parts = [
         f'<saml:Assertion xmlns:saml="{SAML_NS}"',
         _attr("ID", a.id),
@@ -334,7 +348,7 @@ def _serialize_assertion(a: SamlAssertion) -> str:
         _attr("IssueInstant", format_instant(a.authn_instant)),
         f"><saml:Issuer>{_escape_text(a.issuer.value)}</saml:Issuer>",
     ]
-    if a.signature is not None:
+    if signed and a.signature is not None:
         parts.append(
             f'<sig:Signature xmlns:sig="{SIG_NS}"'
             + _attr("KeyId", a.signature.key_id)
@@ -372,7 +386,7 @@ def _serialize_assertion(a: SamlAssertion) -> str:
     return "".join(parts)
 
 
-def _serialize_response(resp: SamlResponse) -> str:
+def _serialize_response(resp: SamlResponse, signed: bool) -> str:
     parts = [
         f'<samlp:Response xmlns:samlp="{SAMLP_NS}" xmlns:saml="{SAML_NS}"',
         _attr("ID", resp.id),
@@ -385,12 +399,12 @@ def _serialize_response(resp: SamlResponse) -> str:
         f'<samlp:Status><samlp:StatusCode{_attr("Value", resp.status.uri)}/></samlp:Status>'
     )
     if resp.assertion is not None:
-        parts.append(_serialize_assertion(resp.assertion))
+        parts.append(_serialize_assertion(resp.assertion, signed))
     parts.append("</samlp:Response>")
     return "".join(parts)
 
 
-def _serialize_rst(rst: WstRequestSecurityToken) -> str:
+def _serialize_rst(rst: WstRequestSecurityToken, signed: bool) -> str:
     parts = [
         f'<wst:RequestSecurityToken xmlns:wst="{WST_NS}" xmlns:auth="{AUTH_NS}"'
         f' xmlns:wsa="{WSA_NS}" xmlns:fed="{FED_NS}"'
@@ -421,7 +435,7 @@ def _serialize_rst(rst: WstRequestSecurityToken) -> str:
     return "".join(parts)
 
 
-def _serialize_rstr(rstr: WstRequestSecurityTokenResponse) -> str:
+def _serialize_rstr(rstr: WstRequestSecurityTokenResponse, signed: bool) -> str:
     parts = [
         f'<wst:RequestSecurityTokenResponse xmlns:wst="{WST_NS}" xmlns:wsu="{WSU_NS}"'
     ]
@@ -439,13 +453,15 @@ def _serialize_rstr(rstr: WstRequestSecurityTokenResponse) -> str:
     if rstr.requested_token is not None:
         parts.append(
             "<wst:RequestedSecurityToken>"
-            + _serialize_assertion(rstr.requested_token)
+            + _serialize_assertion(rstr.requested_token, signed)
             + "</wst:RequestedSecurityToken>"
         )
     parts.append("</wst:RequestSecurityTokenResponse>")
     return "".join(parts)
 
 
+# Each writer takes the document and whether assertions inside it carry
+# their signature element.
 _SERIALIZERS = {
     SamlAuthnRequest: _serialize_authn_request,
     SamlAssertion: _serialize_assertion,
@@ -455,30 +471,16 @@ _SERIALIZERS = {
 }
 
 
-def serialize(document: ProtocolDocument) -> str:
-    """Normal-form XML text for any protocol document."""
+def _writer(document: ProtocolDocument):
     try:
-        writer = _SERIALIZERS[type(document)]
+        return _SERIALIZERS[type(document)]
     except KeyError:
         raise TypeError(f"not a protocol document: {type(document).__name__}") from None
-    return writer(document)
 
 
-def _strip_signatures(document: TDoc) -> TDoc:
-    if isinstance(document, SamlAssertion):
-        if document.signature is None:
-            return document
-        return replace(document, signature=None)
-    if isinstance(document, SamlResponse) and document.assertion is not None:
-        return replace(document, assertion=_strip_signatures(document.assertion))
-    if (
-        isinstance(document, WstRequestSecurityTokenResponse)
-        and document.requested_token is not None
-    ):
-        return replace(
-            document, requested_token=_strip_signatures(document.requested_token)
-        )
-    return document
+def serialize(document: ProtocolDocument) -> str:
+    """Normal-form XML text for any protocol document."""
+    return _writer(document)(document, True)
 
 
 def canonical_bytes(document: ProtocolDocument) -> bytes:
@@ -489,7 +491,7 @@ def canonical_bytes(document: ProtocolDocument) -> bytes:
     formatted, and signature fields (at any nesting depth) are excluded so
     signing and re-signing never perturb the covered content.
     """
-    return serialize(_strip_signatures(document)).encode("utf-8")
+    return _writer(document)(document, False).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ build registers Ed25519.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -30,10 +30,26 @@ class KeyRole(Enum):
 
 @dataclass(frozen=True)
 class KeyRecord:
+    """Raw key bytes and the Ed25519 key object loaded from them.
+
+    The key object is built once, with the record, so that signing and
+    verifying never rebuild it from ``material``.
+    """
+
     key_id: str
     owner: EntityId
     role: KeyRole
     material: bytes
+    loaded: ed25519.Ed25519PrivateKey | ed25519.Ed25519PublicKey = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.role is KeyRole.SIGNING_PRIVATE:
+            key = ed25519.Ed25519PrivateKey.from_private_bytes(self.material)
+        else:
+            key = ed25519.Ed25519PublicKey.from_public_bytes(self.material)
+        object.__setattr__(self, "loaded", key)
 
 
 def generate_keypair(key_id: str, owner: EntityId) -> tuple[KeyRecord, KeyRecord]:
@@ -55,15 +71,13 @@ def generate_keypair(key_id: str, owner: EntityId) -> tuple[KeyRecord, KeyRecord
 
 def save_key_pem(record: KeyRecord, path: str | Path) -> None:
     if record.role is KeyRole.SIGNING_PRIVATE:
-        key = ed25519.Ed25519PrivateKey.from_private_bytes(record.material)
-        pem = key.private_bytes(
+        pem = record.loaded.private_bytes(
             serialization.Encoding.PEM,
             serialization.PrivateFormat.PKCS8,
             serialization.NoEncryption(),
         )
     else:
-        pub = ed25519.Ed25519PublicKey.from_public_bytes(record.material)
-        pem = pub.public_bytes(
+        pem = record.loaded.public_bytes(
             serialization.Encoding.PEM, serialization.PublicFormat.SubjectPublicKeyInfo
         )
     Path(path).write_bytes(pem)
@@ -126,8 +140,7 @@ def sign(assertion: SamlAssertion, key: KeyRecord) -> SamlAssertion:
     """Return the assertion with a fresh signature over its canonical bytes."""
     if key.role is not KeyRole.SIGNING_PRIVATE:
         raise WrongKeyRole(f"cannot sign with {key.role.value} key {key.key_id}")
-    private = ed25519.Ed25519PrivateKey.from_private_bytes(key.material)
-    value = private.sign(canonical_bytes(assertion))
+    value = key.loaded.sign(canonical_bytes(assertion))
     return replace(assertion, signature=Signature(key.key_id, ED25519, value))
 
 
@@ -139,9 +152,8 @@ def verify(assertion: SamlAssertion, trusted: KeyStore) -> EntityId:
     record = trusted.get(sig.key_id)
     if sig.algorithm_id != ED25519:
         raise SignatureInvalid(f"unsupported algorithm {sig.algorithm_id!r}")
-    public = ed25519.Ed25519PublicKey.from_public_bytes(record.material)
     try:
-        public.verify(sig.value, canonical_bytes(assertion))
+        record.loaded.verify(sig.value, canonical_bytes(assertion))
     except InvalidSignature:
         raise SignatureInvalid(
             f"assertion {assertion.id} fails verification under key {sig.key_id}"

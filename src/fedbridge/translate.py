@@ -158,9 +158,17 @@ def claims_to_name_id_policy(
 
 
 def authn_request_to_rst(
-    req: SamlAuthnRequest, ctx_map: AuthnContextMapping, context: str
+    req: SamlAuthnRequest,
+    ctx_map: AuthnContextMapping,
+    context: str,
+    *,
+    reply_to: str | None = None,
 ) -> WstRequestSecurityToken:
-    """Express a SAML authentication request as a WS-Trust issue request."""
+    """Express a SAML authentication request as a WS-Trust issue request.
+
+    The token goes back to the requester's assertion consumer URL unless
+    the caller (normally the broker) substitutes its own reply address.
+    """
     claims_dialect = None
     claim_types: tuple[str, ...] = ()
     if req.name_id_policy_format is not None:
@@ -175,7 +183,7 @@ def authn_request_to_rst(
         context=context,
         request_type=WST_ISSUE_URI,
         token_type=SAML2_ASSERTION_TOKEN_TYPE,
-        reply_to=req.acs_url,
+        reply_to=reply_to if reply_to is not None else req.acs_url,
         claims_dialect=claims_dialect,
         claim_types=claim_types,
         authentication_type=authentication_type,

@@ -12,7 +12,9 @@ from dataclasses import replace
 from urllib.parse import parse_qs, urlparse
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ed25519
 
+import fedbridge.broker as broker_module
 from fedbridge.broker import (
     Broker,
     CorrelationEntry,
@@ -49,8 +51,8 @@ from fedbridge.messages import (
     utc_now,
 )
 from fedbridge.mocks import MockSamlIdp, MockWsfedSts
-from fedbridge.signing import KeyStore, verify
-from fedbridge.trust import Dialect
+from fedbridge.signing import KeyStore, generate_keypair, verify
+from fedbridge.trust import Dialect, TrustTopology
 
 from support import make_rst
 
@@ -315,6 +317,29 @@ class TestFlowB:
         with pytest.raises(UnknownCorrelation):
             broker.handle_saml_acs(dict(idp_post.fields))
 
+    def test_no_trust_path_without_brokered_idp(self, demo_cfg_dict, tmp_path):
+        demo_cfg_dict["links"] = [
+            pair for pair in demo_cfg_dict["links"] if IDP not in pair
+        ]
+        cfg = config_from_dict(demo_cfg_dict, base_dir=tmp_path)
+        broker = Broker(cfg)
+        with pytest.raises(NoTrustPath):
+            broker.handle_wsfed_signin(wsfed_signin_params(cfg))
+
+    def test_shared_reply_to_resolves_to_first_provider_by_id(self, demo_cfg_dict, tmp_path):
+        # Listed after the original but first by entity ID, as the topology
+        # orders providers.
+        twin = "https://a-wsfed-sp.example.test"
+        original = next(e for e in demo_cfg_dict["entities"] if e["id"] == WSFED_SP)
+        demo_cfg_dict["entities"].append({**original, "id": twin})
+        demo_cfg_dict["links"].append([twin, demo_cfg_dict["broker"]["entity_id"]])
+        cfg = config_from_dict(demo_cfg_dict, base_dir=tmp_path)
+        broker = Broker(cfg)
+
+        redirect = broker.handle_wsfed_signin(wsfed_signin_params(cfg))
+        entry = broker.correlations._entries[location_params(redirect)["RelayState"]]
+        assert entry.origin_sp == EntityId(twin)
+
     def test_non_success_relayed_as_tokenless_result(self, broker, demo_cfg):
         from fedbridge.messages import SamlResponse
 
@@ -399,6 +424,43 @@ class TestAttributeMapping:
         assert response.assertion.attributes == (
             ("urn:example:attr:mail", "alice@example.test"),
         )
+
+
+class TestRequestPlan:
+    """Routes and keys are resolved when the broker starts, not per request."""
+
+    def test_requests_walk_no_trust_graph_and_load_no_key(
+        self, broker, demo_cfg, sts, idp, monkeypatch
+    ):
+        calls = {}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+            calls[name] = 0
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(broker_module, "resolve_path")
+        count(TrustTopology, "by_role")
+        count(ed25519.Ed25519PrivateKey, "from_private_bytes")
+        count(ed25519.Ed25519PublicKey, "from_public_bytes")
+
+        run_flow_a(broker, demo_cfg, sts)
+        redirect = broker.handle_wsfed_signin(wsfed_signin_params(demo_cfg))
+        broker.handle_saml_acs(dict(idp.handle_sso(location_params(redirect)).fields))
+        abandoned = saml_sso_params(demo_cfg)
+        abandoned.pop("__request_id")
+        broker.handle_saml_sso(abandoned)
+        assert calls == dict.fromkeys(calls, 0)
+
+        # The counters see the calls that start-up makes.
+        Broker(demo_cfg)
+        generate_keypair("spare", demo_cfg.broker_id)
+        assert all(calls.values()), calls
 
 
 class TestCorrelationStore:

@@ -8,10 +8,11 @@ InvariantViolation), and the determinism guarantees of canonical_bytes.
 from __future__ import annotations
 
 from dataclasses import replace
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedbridge.errors import InvariantViolation, MalformedXml, WrongNamespace
 from fedbridge.messages import (
@@ -23,6 +24,7 @@ from fedbridge.messages import (
     WstRequestSecurityToken,
     canonical_bytes,
     parse,
+    parse_instant,
     serialize,
 )
 
@@ -166,6 +168,97 @@ class TestParse:
         assert parse(serialize(doc), type(doc)) == doc
 
 
+def strptime_reading(text: str):
+    """What the general parser makes of ``text``: the instant or the error."""
+    try:
+        return datetime.strptime(text.strip(), "%Y-%m-%dT%H:%M:%SZ").replace(
+            tzinfo=timezone.utc
+        )
+    except ValueError:
+        return InvariantViolation
+
+
+def parse_instant_reading(text: str):
+    try:
+        return parse_instant(text, "test")
+    except InvariantViolation:
+        return InvariantViolation
+
+
+def assert_same_reading(text: str) -> None:
+    expected = strptime_reading(text)
+    got = parse_instant_reading(text)
+    assert got == expected, text
+    if expected is not InvariantViolation:
+        assert got.tzinfo is timezone.utc
+
+
+_INSTANT_CHARS = "0123456789-T:Zzt \n\u0663\uff11\u00b2+."
+
+
+class TestParseInstant:
+    """The fixed-width fast path reads every text as ``strptime`` does."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2026-08-10T12:00:00Z",
+            "1970-01-01T00:00:00Z",
+            "9999-12-31T23:59:59Z",
+            "2024-02-29T00:00:00Z",
+            "2000-02-29T00:00:00Z",
+            "2023-02-29T00:00:00Z",
+            "1900-02-29T00:00:00Z",
+            "2026-04-31T00:00:00Z",
+            "2026-13-01T00:00:00Z",
+            "2026-00-01T00:00:00Z",
+            "2026-01-00T00:00:00Z",
+            "2026-01-01T24:00:00Z",
+            "2026-01-01T00:60:00Z",
+            "2026-01-01T00:00:60Z",
+            "2026-01-01T00:00:61Z",
+            "0000-01-01T00:00:00Z",
+            "2026-1-5T7:8:9Z",
+            "2026-01-05T7:08:09Z",
+            " 2026-01-01T00:00:00Z",
+            "2026-01-01T00:00:00Z\n",
+            "\t2026-01-01T00:00:00Z ",
+            "\u0662\u0660\u0662\u0666-01-01T00:00:00Z",
+            "2026-01-01T00:00:0\u0669Z",
+            "\uff12\uff10\uff12\uff16-01-01T00:00:00Z",
+            "2026-01-01T00:00:00z",
+            "2026-01-01t00:00:00Z",
+            "2026-01-01T00:00:00Zjunk",
+            "2026-01-01T00:00:00Z0",
+            "2026-01-01T00:00:00+00:00",
+            "2026-01-01T00:00:00.5Z",
+            "+026-01-01T00:00:00Z",
+            "",
+        ],
+    )
+    def test_table(self, text):
+        assert_same_reading(text)
+
+    @given(st.datetimes(timezones=st.just(timezone.utc)))
+    def test_valid_fixed_width_instants(self, instant):
+        text = "%04d-%02d-%02dT%02d:%02d:%02dZ" % instant.timetuple()[:6]
+        assert parse_instant(text, "test") == instant.replace(microsecond=0)
+        assert_same_reading(text)
+
+    @given(
+        st.tuples(
+            st.integers(0, 9999), *[st.integers(0, 99) for _ in range(5)]
+        )
+    )
+    def test_fixed_width_fields_of_any_value(self, fields):
+        assert_same_reading("%04d-%02d-%02dT%02d:%02d:%02dZ" % fields)
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet=_INSTANT_CHARS, max_size=24))
+    def test_any_text(self, text):
+        assert_same_reading(text)
+
+
 class TestCanonicalBytes:
     def test_signature_field_excluded(self):
         plain = make_assertion()
@@ -239,6 +332,12 @@ class TestInvariants:
         instant = datetime(2026, 1, 1, 12, 0, 0, 654_321, tzinfo=timezone.utc)
         req = make_authn_request(issue_instant=instant)
         assert req.issue_instant.microsecond == 0
+
+    def test_offset_instants_normalized_to_utc(self):
+        instant = datetime(2026, 1, 1, 14, 0, 0, tzinfo=timezone(timedelta(hours=2)))
+        req = make_authn_request(issue_instant=instant)
+        assert req.issue_instant.tzinfo is timezone.utc
+        assert req.issue_instant.hour == 12
 
     def test_unrepresentable_characters_rejected(self):
         with pytest.raises(InvariantViolation):

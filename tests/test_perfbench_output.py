@@ -1,7 +1,8 @@
-"""The benchmark's output contract: a short run of each workload exits 0,
-writes nothing to standard error, and ends its standard output with one
-strict-JSON result line that is correct and carries every end-to-end metric
-named in BENCHMARK.json as a finite number.
+"""The benchmark's output contract: a short run of each workload, traced or
+not, exits 0, writes nothing to standard error, and ends its standard output
+with one strict-JSON result line that is correct and whose every metric is
+a finite number. An untraced run carries every end-to-end metric named in
+BENCHMARK.json.
 
 Anything the program prints, logs or warns at exit lands after that line
 and breaks the contract, with the two streams apart or merged.
@@ -27,18 +28,16 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite constant {name} in the result line")
 
 
-def _run(workload: str, merged: bool) -> subprocess.CompletedProcess:
+def _run(workload: str, merged: bool, trace: int) -> subprocess.CompletedProcess:
     command = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-               "--seed", "1", "--seconds", "0.1"]
+               "--seed", "1", "--seconds", "0.1", "--trace", str(trace)]
     return subprocess.run(command, cwd=ROOT, stdout=subprocess.PIPE,
                           stderr=subprocess.STDOUT if merged else subprocess.PIPE,
                           text=True, timeout=300)
 
 
-@pytest.mark.parametrize("merged", [False, True], ids=["split", "merged"])
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_result_is_last_line(workload, merged):
-    done = _run(workload, merged)
+def _check_result_is_last_line(workload: str, merged: bool, trace: int) -> None:
+    done = _run(workload, merged, trace)
     assert done.returncode == 0, done.stdout + (done.stderr or "")
     if not merged:
         assert done.stderr == ""
@@ -47,7 +46,20 @@ def test_result_is_last_line(workload, merged):
     result = json.loads(lines[-1], parse_constant=_reject_constant)
     assert result["correct"] is True
     metrics = result["metrics"]
-    assert [name for name in END_TO_END if name not in metrics] == []
-    for name in END_TO_END:
-        value = metrics[name]["value"]
+    if not trace:
+        assert [name for name in END_TO_END if name not in metrics] == []
+    for name, metric in metrics.items():
+        value = metric["value"]
         assert isinstance(value, (int, float)) and math.isfinite(value), (name, value)
+
+
+@pytest.mark.parametrize("merged", [False, True], ids=["split", "merged"])
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_result_is_last_line(workload, merged):
+    _check_result_is_last_line(workload, merged, trace=0)
+
+
+@pytest.mark.parametrize("merged", [False, True], ids=["split", "merged"])
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_result_is_last_line(workload, merged):
+    _check_result_is_last_line(workload, merged, trace=1)
