@@ -19,6 +19,7 @@ import base64
 import html
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 from urllib.parse import urlencode
 
@@ -46,7 +47,9 @@ class RedirectMessage:
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple((n, v) for n, v in self.params))
 
-    @property
+    # Computed on first use, not in __post_init__: the broker builds the
+    # message, and the HTTP adapter that answers with it pays the urlencode.
+    @cached_property
     def location(self) -> str:
         query = urlencode(self.params)
         separator = "&" if "?" in self.target else "?"

@@ -6,6 +6,12 @@ protocol parameter. Every hop is recorded as a trace step, and every
 parameter the client sends is checked against the set of values it
 previously received from some server, so a scenario can prove the client
 stayed a pure relay.
+
+Like a browser, a ``PassiveClient`` keeps one persistent HTTP/1.1
+connection per server for its lifetime; ``close()`` (or leaving a ``with``
+block) ends them. A request on a kept connection that the server has
+closed in the meantime is sent once more on a fresh one. ``http_exchange``
+is the same exchange over a connection of its own.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from pathlib import Path
 from typing import Callable
-from urllib.parse import parse_qsl, urlencode, urljoin, urlparse
+from urllib.parse import parse_qsl, urlencode, urljoin, urlsplit
 
 from .errors import ScenarioSetupError
 
@@ -63,30 +69,56 @@ def http_exchange(
     fields: list[tuple[str, str]] | None = None,
     timeout: float = 10.0,
 ) -> tuple[int, dict[str, str], str]:
-    """One plain-HTTP request with no redirect following; returns
-    (status, headers, body)."""
-    parsed = urlparse(url)
-    if parsed.scheme != "http":
-        raise ScenarioSetupError(f"passive client only speaks plain http: {url}")
-    connection = http.client.HTTPConnection(parsed.netloc, timeout=timeout)
+    """One plain-HTTP request with no redirect following, on a connection of
+    its own; returns (status, headers, body)."""
+    netloc, target = _split_url(url)
+    connection = http.client.HTTPConnection(netloc, timeout=timeout)
     try:
-        path = parsed.path or "/"
-        if parsed.query:
-            path = f"{path}?{parsed.query}"
-        if method == "POST":
-            connection.request(
-                "POST",
-                path,
-                body=urlencode(fields or []),
-                headers={"Content-Type": "application/x-www-form-urlencoded"},
-            )
-        else:
-            connection.request("GET", path)
-        response = connection.getresponse()
-        payload = response.read().decode("utf-8", errors="replace")
-        return response.status, dict(response.getheaders()), payload
+        return _exchange(connection, method, target, fields or [])
     finally:
         connection.close()
+
+
+def _split_url(url: str) -> tuple[str, str]:
+    parsed = urlsplit(url)
+    if parsed.scheme != "http":
+        raise ScenarioSetupError(f"passive client only speaks plain http: {url}")
+    target = parsed.path or "/"
+    return parsed.netloc, f"{target}?{parsed.query}" if parsed.query else target
+
+
+def _exchange(
+    connection: http.client.HTTPConnection,
+    method: str,
+    target: str,
+    fields: list[tuple[str, str]],
+) -> tuple[int, dict[str, str], str]:
+    """One request and its response on ``connection``. If the connection
+    was open before and the server closed it while idle, the request goes
+    once more on a fresh connection; a fresh connection is never retried."""
+    if method == "POST":
+        body = urlencode(fields)
+        headers = {"Content-Type": "application/x-www-form-urlencoded"}
+    else:
+        body, headers = None, {}
+    reused = connection.sock is not None
+    try:
+        try:
+            connection.request(method, target, body=body, headers=headers)
+            response = connection.getresponse()
+        except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected included
+            if not reused:
+                raise
+            connection.close()
+            connection.request(method, target, body=body, headers=headers)
+            response = connection.getresponse()
+        payload = response.read().decode("utf-8", errors="replace")
+    except BaseException:
+        connection.close()
+        raise
+    if response.will_close:
+        connection.close()
+    return response.status, dict(response.getheaders()), payload
 
 
 class _FormExtractor(HTMLParser):
@@ -126,11 +158,23 @@ class ClientResult:
 
 
 class PassiveClient:
-    """Drives one sign-on flow; ``actor_for`` labels servers in the trace."""
+    """Drives sign-on flows; ``actor_for`` labels servers in the trace."""
 
     def __init__(self, actor_for: Callable[[str], str] | None = None, timeout: float = 10.0):
         self.actor_for = actor_for or (lambda netloc: netloc)
         self.timeout = timeout
+        self._connections: dict[str, http.client.HTTPConnection] = {}
+
+    def close(self) -> None:
+        for connection in self._connections.values():
+            connection.close()
+        self._connections.clear()
+
+    def __enter__(self) -> "PassiveClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def run(self, start_url: str) -> ClientResult:
         steps: list[TraceStep] = []
@@ -140,10 +184,9 @@ class PassiveClient:
         method = "GET"
         url = start_url
         fields: list[tuple[str, str]] = []
+        params = dict(parse_qsl(urlsplit(url).query, keep_blank_values=True))
 
         for _ in range(MAX_STEPS):
-            parsed = urlparse(url)
-            params = dict(parse_qsl(parsed.query, keep_blank_values=True)) if method == "GET" else dict(fields)
             for name, value in params.items():
                 if value and steps and value not in received:
                     violations.append(f"{name} sent without having been received")
@@ -156,7 +199,7 @@ class PassiveClient:
                 outcome = f"{status} {headers['X-Outcome']}"
             steps.append(
                 TraceStep(
-                    actor=self.actor_for(parsed.netloc),
+                    actor=self.actor_for(urlsplit(url).netloc),
                     method=method,
                     url=url,
                     params=params,
@@ -166,18 +209,18 @@ class PassiveClient:
 
             if status in (301, 302, 303):
                 location = urljoin(url, headers.get("Location", ""))
-                for _, value in parse_qsl(urlparse(location).query, keep_blank_values=True):
-                    received.add(value)
-                method, url, fields = "GET", location, []
+                pairs = parse_qsl(urlsplit(location).query, keep_blank_values=True)
+                received.update(value for _, value in pairs)
+                method, url, fields, params = "GET", location, [], dict(pairs)
                 continue
 
             if status == 200:
                 form = extract_form(body)
                 if form is not None and form[0]:
                     action, form_fields = form
-                    for _, value in form_fields:
-                        received.add(value)
+                    received.update(value for _, value in form_fields)
                     method, url, fields = "POST", urljoin(url, action), form_fields
+                    params = dict(fields)
                     continue
 
             return ClientResult(
@@ -199,4 +242,9 @@ class PassiveClient:
     def _request(
         self, method: str, url: str, fields: list[tuple[str, str]]
     ) -> tuple[int, dict[str, str], str]:
-        return http_exchange(method, url, fields, timeout=self.timeout)
+        netloc, target = _split_url(url)
+        connection = self._connections.get(netloc)
+        if connection is None:
+            connection = http.client.HTTPConnection(netloc, timeout=self.timeout)
+            self._connections[netloc] = connection
+        return _exchange(connection, method, target, fields)

@@ -4,22 +4,40 @@ Routes are plain callables from a parsed request to a response. A raised
 FedBridgeError becomes an HTML error page for the passive client plus an
 ``X-Error`` header carrying the machine-readable code, since a browser
 mid-redirect cannot digest a structured fault body.
+
+Connections are persistent HTTP/1.1 (RFC 9112 §9.3), one thread each:
+- every response leaves in one write on a ``TCP_NODELAY`` socket, since a
+  body written after its headers would wait on the client's delayed ACK;
+- a connection that sends nothing for ``IDLE_TIMEOUT_S`` is closed, so an
+  idle or stalled client gives its thread back;
+- a request body is framed by one decimal ``Content-Length`` of at most
+  ``MAX_BODY_BYTES``; any other framing is refused and the connection
+  closed, since the next request's start is then unknown;
+- a client that closes, resets or stalls ends its connection with a debug
+  log line, not a traceback;
+- ``ServerHandle.stop()`` ends the kept-alive connections too.
 """
 
 from __future__ import annotations
 
 import html
 import logging
+import socket
+import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Mapping
 from urllib.parse import parse_qs, urlparse
 
 from .bindings import PostMessage, RedirectMessage, auto_post_html
-from .errors import FedBridgeError
+from .errors import FedBridgeError, ProtocolError, RequestTooLarge
 
 logger = logging.getLogger(__name__)
+
+IDLE_TIMEOUT_S = 5.0
+# About ten times the largest form a relay posts.
+MAX_BODY_BYTES = 64 * 1024
 
 
 @dataclass
@@ -80,19 +98,73 @@ class _RouteServer(ThreadingHTTPServer):
     request_queue_size = 128
 
     def __init__(self, address, routes: dict[tuple[str, str], RouteHandler], name: str):
+        # Kept-alive connections outlive serve_forever(); server_close() ends them.
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
         super().__init__(address, _Handler)
         self.routes = routes
         self.name = name
 
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._connections_lock:
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+
+    def handle_error(self, request, client_address) -> None:
+        # A client that resets or stalls ends its own connection: no server
+        # fault, so no traceback on stderr as socketserver would print.
+        exc = sys.exc_info()[1]
+        if isinstance(exc, OSError):
+            logger.debug("%s: connection from %s ended: %r", self.name, client_address, exc)
+        else:
+            logger.exception("%s: unhandled error on a connection from %s",
+                             self.name, client_address)
+
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT_S
+    disable_nagle_algorithm = True
     server: _RouteServer
 
     def log_message(self, fmt: str, *args) -> None:
-        logger.debug("%s %s", self.server.name, fmt % args)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("%s %s", self.server.name, fmt % args)
+
+    def _read_body(self) -> bytes | None:
+        """The request body, or None once a refusal that closes the
+        connection has been sent instead."""
+        lengths = self.headers.get_all("Content-Length", [])
+        if ("Transfer-Encoding" in self.headers or len(set(lengths)) > 1
+                or not all(n.isascii() and n.isdigit() for n in lengths)):
+            refusal = error_response(ProtocolError("unreadable body framing"))
+        elif lengths and int(lengths[0]) > MAX_BODY_BYTES:
+            refusal = replace(
+                error_response(RequestTooLarge(f"body over {MAX_BODY_BYTES} bytes")), status=413)
+        else:
+            return self.rfile.read(int(lengths[0]) if lengths else 0)
+        # Where the next request starts is unknown, so the connection ends.
+        self._send(replace(refusal, headers=refusal.headers + (("Connection", "close"),)))
+        return None
 
     def _dispatch(self, method: str) -> None:
+        body = self._read_body()
+        if body is None:
+            return
         parsed = urlparse(self.path)
         handler = self.server.routes.get((method, parsed.path))
         if handler is None:
@@ -101,9 +173,7 @@ class _Handler(BaseHTTPRequestHandler):
 
         form: dict[str, str] = {}
         if method == "POST":
-            length = int(self.headers.get("Content-Length", "0"))
-            body = self.rfile.read(length).decode("utf-8") if length else ""
-            form = first_values(body)
+            form = first_values(body.decode("utf-8", errors="replace"))
 
         request = HttpRequest(
             method=method,
@@ -128,9 +198,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Cache-Control", "no-store")
         for name, value in response.headers:
             self.send_header(name, value)
-        self.end_headers()
-        if response.body:
-            self.wfile.write(response.body)
+        # end_headers() would write the headers and the body apart. An
+        # HTTP/0.9 request gets the bare body, as it does there.
+        head = b""
+        if self.request_version != "HTTP/0.9":
+            head = b"".join(self._headers_buffer) + b"\r\n"
+            self._headers_buffer = []
+        self.wfile.write(head + response.body)
 
     def do_GET(self) -> None:
         self._dispatch("GET")

@@ -60,7 +60,9 @@ def utc_now() -> datetime:
 
 
 def format_instant(dt: datetime) -> str:
-    return dt.strftime(_INSTANT_FORMAT)
+    # strftime("%Y") does not pad years below 1000 on every platform.
+    return (f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}"
+            f"T{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}Z")
 
 
 def parse_instant(text: str, element: str) -> datetime:

@@ -247,8 +247,8 @@ def run_flow(
     if subject is not None:
         authority.active_subject = subject
 
-    client = PassiveClient(env.actor_for)
-    result = client.run(sp.login_url)
+    with PassiveClient(env.actor_for) as client:
+        result = client.run(sp.login_url)
     return _result_to_trace(result, sp)
 
 
@@ -280,7 +280,8 @@ def run_concurrent(
         sp = env.saml_sp if scenario is Scenario.SAML_SP_TO_WSFED_IP else env.wsfed_sp
 
         def one_flow(_: int) -> ScenarioTrace:
-            result = PassiveClient(env.actor_for).run(sp.login_url)
+            with PassiveClient(env.actor_for) as client:
+                result = client.run(sp.login_url)
             return _result_to_trace(result, sp)
 
         with ThreadPoolExecutor(max_workers=count) as pool:

@@ -72,6 +72,15 @@ class TestParameterNames:
         message = encode_saml_redirect(make_authn_request(), "", IDP_URL)
         assert [name for name, _ in message.params] == ["SAMLRequest"]
 
+    def test_location_is_built_on_first_use_only(self, monkeypatch):
+        message = encode_saml_redirect(make_authn_request(), "state-1", IDP_URL)
+        assert "location" not in vars(message)
+        calls = []
+        monkeypatch.setattr("fedbridge.bindings.urlencode",
+                            lambda params: calls.append(params) or "q=1")
+        assert message.location == message.location == f"{IDP_URL}?q=1"
+        assert len(calls) == 1
+
 
 class TestSamlRedirect:
     def test_payload_is_deflated_base64(self):

@@ -80,7 +80,8 @@ class TestFlowA:
         with environment(demo_cfg) as env:
             from fedbridge.client import PassiveClient
 
-            result = PassiveClient(env.actor_for).run(env.saml_sp.login_url)
+            with PassiveClient(env.actor_for) as client:
+                result = client.run(env.saml_sp.login_url)
             assert result.relay_violations == []
             assert result.final_outcome == "established"
 

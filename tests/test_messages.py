@@ -23,6 +23,7 @@ from fedbridge.messages import (
     Signature,
     WstRequestSecurityToken,
     canonical_bytes,
+    format_instant,
     parse,
     parse_instant,
     serialize,
@@ -257,6 +258,14 @@ class TestParseInstant:
     @given(st.text(alphabet=_INSTANT_CHARS, max_size=24))
     def test_any_text(self, text):
         assert_same_reading(text)
+
+    @given(st.datetimes(timezones=st.just(timezone.utc)).map(lambda d: d.replace(microsecond=0)))
+    def test_format_then_parse_round_trips(self, instant):
+        assert parse_instant(format_instant(instant), "test") == instant
+
+    def test_format_pads_years_below_1000(self):
+        instant = datetime(999, 1, 1, tzinfo=timezone.utc)
+        assert format_instant(instant) == "0999-01-01T00:00:00Z"
 
 
 class TestCanonicalBytes:
