@@ -12,19 +12,26 @@ connection per server for its lifetime; ``close()`` (or leaving a ``with``
 block) ends them. A request on a kept connection that the server has
 closed in the meantime is sent once more on a fresh one. ``http_exchange``
 is the same exchange over a connection of its own.
+
+The client speaks HTTP/1.1 through the core in ``fedbridge.httpd``: each
+request is one head string and its body in one ``sendall``, and each
+response head is read by ``read_head``. A response body is framed by its
+``Content-Length``, or, without one, runs to the close of the connection;
+a chunked response is refused.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from pathlib import Path
 from typing import Callable
 from urllib.parse import parse_qsl, urlencode, urljoin, urlsplit
 
-from .errors import ScenarioSetupError
+from .errors import ProtocolError, ScenarioSetupError
+from .httpd import read_head
 
 MAX_STEPS = 12
 
@@ -72,7 +79,7 @@ def http_exchange(
     """One plain-HTTP request with no redirect following, on a connection of
     its own; returns (status, headers, body)."""
     netloc, target = _split_url(url)
-    connection = http.client.HTTPConnection(netloc, timeout=timeout)
+    connection = _Connection(netloc, timeout)
     try:
         return _exchange(connection, method, target, fields or [])
     finally:
@@ -87,8 +94,72 @@ def _split_url(url: str) -> tuple[str, str]:
     return parsed.netloc, f"{target}?{parsed.query}" if parsed.query else target
 
 
+class _Connection:
+    """One persistent HTTP/1.1 connection to the server at ``netloc``,
+    opened on first use."""
+
+    def __init__(self, netloc: str, timeout: float) -> None:
+        parsed = urlsplit(f"//{netloc}")
+        self.netloc = netloc
+        self.host, self.port = parsed.hostname, parsed.port or 80
+        self.timeout = timeout
+        self.sock: socket.socket | None = None
+
+    def connect(self) -> None:
+        self.sock = socket.create_connection((self.host, self.port), self.timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.rfile = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.rfile.close()
+            self.sock.close()
+            self.sock = None
+
+    def request(self, request: bytes) -> tuple[str, list[tuple[str, str]]]:
+        """Send one whole request; the head of its response."""
+        if self.sock is None:
+            self.connect()
+        self.sock.sendall(request)
+        head = read_head(self.rfile)
+        if head is None:
+            raise ConnectionResetError("server closed the connection without a response")
+        return head
+
+
+def _read_response(
+    rfile, head: tuple[str, list[tuple[str, str]]]
+) -> tuple[int, dict[str, str], bytes, bool]:
+    """The status, headers and body of the response whose head was read
+    from ``rfile``, and whether the connection ends after it."""
+    start, fields = head
+    version, _, rest = start.partition(" ")
+    code = rest[:3]
+    if not version.startswith("HTTP/") or not (code.isascii() and code.isdigit()):
+        raise ProtocolError(f"malformed status line {start[:80]!r}")
+    length = None
+    connection = ""
+    for name, value in fields:
+        key = name.lower()
+        if key == "content-length":
+            if not (value.isascii() and value.isdigit()):
+                raise ProtocolError(f"unreadable response framing {value[:80]!r}")
+            length = int(value)
+        elif key == "transfer-encoding":
+            raise ProtocolError("a chunked response is not read")
+        elif key == "connection":
+            connection = value.lower()
+    close = "close" in connection if version == "HTTP/1.1" else "keep-alive" not in connection
+    if length is None:
+        return int(code), dict(fields), rfile.read(), True
+    body = rfile.read(length)
+    if len(body) < length:
+        raise ConnectionError("connection closed inside a response body")
+    return int(code), dict(fields), body, close
+
+
 def _exchange(
-    connection: http.client.HTTPConnection,
+    connection: _Connection,
     method: str,
     target: str,
     fields: list[tuple[str, str]],
@@ -97,28 +168,29 @@ def _exchange(
     was open before and the server closed it while idle, the request goes
     once more on a fresh connection; a fresh connection is never retried."""
     if method == "POST":
-        body = urlencode(fields)
-        headers = {"Content-Type": "application/x-www-form-urlencoded"}
+        body = urlencode(fields).encode("latin-1")
+        framing = ("Content-Type: application/x-www-form-urlencoded\r\n"
+                   f"Content-Length: {len(body)}\r\n")
     else:
-        body, headers = None, {}
+        body, framing = b"", ""
+    request = f"{method} {target} HTTP/1.1\r\nHost: {connection.netloc}\r\n{framing}\r\n"
+    request = request.encode("latin-1") + body
     reused = connection.sock is not None
     try:
         try:
-            connection.request(method, target, body=body, headers=headers)
-            response = connection.getresponse()
-        except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected included
+            head = connection.request(request)
+        except (ConnectionResetError, BrokenPipeError):
             if not reused:
                 raise
             connection.close()
-            connection.request(method, target, body=body, headers=headers)
-            response = connection.getresponse()
-        payload = response.read().decode("utf-8", errors="replace")
+            head = connection.request(request)
+        status, headers, payload, close = _read_response(connection.rfile, head)
     except BaseException:
         connection.close()
         raise
-    if response.will_close:
+    if close:
         connection.close()
-    return response.status, dict(response.getheaders()), payload
+    return status, headers, payload.decode("utf-8", errors="replace")
 
 
 class _FormExtractor(HTMLParser):
@@ -163,7 +235,7 @@ class PassiveClient:
     def __init__(self, actor_for: Callable[[str], str] | None = None, timeout: float = 10.0):
         self.actor_for = actor_for or (lambda netloc: netloc)
         self.timeout = timeout
-        self._connections: dict[str, http.client.HTTPConnection] = {}
+        self._connections: dict[str, _Connection] = {}
 
     def close(self) -> None:
         for connection in self._connections.values():
@@ -245,6 +317,6 @@ class PassiveClient:
         netloc, target = _split_url(url)
         connection = self._connections.get(netloc)
         if connection is None:
-            connection = http.client.HTTPConnection(netloc, timeout=self.timeout)
+            connection = _Connection(netloc, self.timeout)
             self._connections[netloc] = connection
         return _exchange(connection, method, target, fields)

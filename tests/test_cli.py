@@ -161,8 +161,8 @@ class TestLongRunningCommands:
         listen = data["broker"]["listen"]
         process = subprocess.Popen(
             [sys.executable, "-m", "fedbridge.cli", "broker", "--config", str(demo_config_path)],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
         )
         try:
             assert _probe(f"http://{listen}/healthz", process) == 200
@@ -178,8 +178,8 @@ class TestLongRunningCommands:
         login = f"http://{urlparse(sp_acs).netloc}/login"
         process = subprocess.Popen(
             [sys.executable, "-m", "fedbridge.cli", "mocks", "--config", str(demo_config_path)],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
         )
         try:
             # The provider's /login answers 302 toward the (absent) broker:
