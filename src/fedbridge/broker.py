@@ -8,19 +8,25 @@ request toward the token service, and the issued assertion comes back on
 assertion consumer endpoint. Flow B is the mirror image through
 /wsfed/signin and /saml/acs.
 
-Everything a request needs from the configuration is resolved once, when
-the broker starts, into a frozen ``RequestPlan``: the identity provider each
-service provider is bridged to and the WS-Federation provider behind each
-reply address. The keys come loaded, on their ``KeyRecord``. So no request
-walks the trust graph or rebuilds a key object.
+The four handle_* methods do only their dialect's work (decode, provider
+lookup, translation, encode) over one inbound and one return path shared by
+both flows. ``_open`` refuses an origin request ID (SAML request ID or RST
+Context) already seen from its provider, finds the bridged authority and
+draws a correlation, which ``_redirect`` keeps only once the request is
+translated and encoded. ``_close`` requires the correlation parameter,
+consumes it once and checks the flow's origin dialect; the response must
+answer the broker's own request (RSTR Context or InResponseTo), and
+``_relay`` passes an authority's refusal on as a SAML ``Responder`` status
+or a token-less RSTR.
 
-The broker holds exactly two pieces of mutable state: the correlation
-store tying the outbound leg back to the inbound one (entries expire and
-are consumed at most once, atomically) and the seen-request-id set that
-rejects replays. Each drops its expired entries as new ones arrive, so
-both stay bounded by request rate x TTL, abandoned flows included. It
-never sees a credential; the client authenticates against the identity
-provider directly.
+Everything a request needs from the configuration is resolved once, at
+start, into a frozen ``RequestPlan``, and the keys come loaded on their
+``KeyRecord``: no request walks the trust graph or rebuilds a key.
+
+The correlation store (entries consumed at most once, atomically) and the
+seen-request-id set drop expired entries as new ones arrive, so both stay
+bounded by request rate x TTL, abandoned flows included. The only other
+state is the persistent pseudonyms. No credential passes the broker.
 """
 
 from __future__ import annotations
@@ -57,8 +63,6 @@ from .errors import (
     UnknownCorrelation,
     UnknownEntity,
     UnknownIssuer,
-    UnsupportedRequestType,
-    UnsupportedTokenType,
 )
 from .httpd import (
     HttpRequest,
@@ -73,14 +77,14 @@ from .httpd import (
 from .messages import (
     EntityId,
     SamlAssertion,
+    SamlResponse,
     SamlStatus,
     WstRequestSecurityTokenResponse,
     fresh_id,
 )
-from .pseudonym import PseudonymRegistry
+from .pseudonym import PseudonymRegistry, fresh_transient
 from .translate import (
     SAML2_ASSERTION_TOKEN_TYPE,
-    WST_ISSUE_URI,
     AssertionTransform,
     rst_to_authn_request,
     authn_request_to_rst,
@@ -93,10 +97,6 @@ logger = logging.getLogger(__name__)
 
 PERSISTENT_NAMEID_FORMAT = "urn:oasis:names:tc:SAML:2.0:nameid-format:persistent"
 TRANSIENT_NAMEID_FORMAT = "urn:oasis:names:tc:SAML:2.0:nameid-format:transient"
-
-
-def _fresh_correlation_id() -> str:
-    return secrets.token_urlsafe(24)
 
 
 @dataclass
@@ -259,27 +259,26 @@ class Broker:
 
     def __init__(self, config: BrokerConfig):
         self.config = config
-        self.topology = config.topology
         self.broker_id = config.broker_id
         self.signing_key = config.signing_key
         self.verify_store = config.broker_verify_store()
         self.correlations = CorrelationStore()
         self.seen_ids = SeenRequestIds(config.replay_ttl)
         self.pseudonyms = PseudonymRegistry()
-        self.plan = RequestPlan.compile(self.topology, self.broker_id)
+        self.plan = RequestPlan.compile(config.topology, self.broker_id)
 
     # -- helpers -------------------------------------------------------------
 
     def _registered_sp(self, issuer: EntityId, dialect: Dialect) -> FederationEntity:
         try:
-            entity = self.topology.entity(issuer)
+            entity = self.config.topology.entity(issuer)
         except UnknownEntity:
             raise UnknownIssuer(str(issuer)) from None
         if entity.role is not Role.SERVICE_PROVIDER or entity.dialect is not dialect:
             raise UnknownIssuer(f"{issuer} is not a registered {dialect.value} service provider")
         return entity
 
-    def _pseudonym_transform(self, sp: EntityId, session: str) -> AssertionTransform | None:
+    def _pseudonym_transform(self, sp: EntityId) -> AssertionTransform | None:
         mode = self.config.pseudonym_modes.get(sp.value, "none")
         if mode == "none":
             return None
@@ -289,30 +288,61 @@ class Broker:
         def rewrite(assertion: SamlAssertion) -> SamlAssertion:
             if mode == "persistent":
                 record = self.pseudonyms.register_persistent(assertion.subject_name, sp, secret)
-                name_format = PERSISTENT_NAMEID_FORMAT
-            else:
-                record = self.pseudonyms.issue_transient(assertion.subject_name, sp, session)
-                name_format = TRANSIENT_NAMEID_FORMAT
-            return replace(
-                assertion, subject_name=record.pseudonym, subject_name_format=name_format
-            )
+                name, name_format = record.pseudonym, PERSISTENT_NAMEID_FORMAT
+            else:  # nothing ever looks a transient pseudonym up, so none is kept
+                name, name_format = fresh_transient(), TRANSIENT_NAMEID_FORMAT
+            return replace(assertion, subject_name=name, subject_name_format=name_format)
 
         return rewrite
 
     def _log_leg(self, leg: str, direction: str, correlation_id: str, outcome: str) -> None:
-        if not logger.isEnabledFor(logging.INFO):
-            return
-        logger.info(
-            json.dumps(
-                {
-                    "leg": leg,
-                    "direction": direction,
-                    "correlation_id": correlation_id,
-                    "outcome": outcome,
-                },
-                sort_keys=True,
-            )
+        if logger.isEnabledFor(logging.INFO):
+            logger.info(json.dumps({"leg": leg, "direction": direction, "outcome": outcome,
+                                    "correlation_id": correlation_id}, sort_keys=True))
+
+    # -- the two shared paths --------------------------------------------------
+
+    def _open(
+        self, sp: FederationEntity, original_request_id: str, acs_or_return_url: str,
+        origin_relay: str, outbound_request_id: str = "",
+    ) -> tuple[CorrelationEntry, FederationEntity]:
+        """Inbound leg: refuse a replayed origin request, find the bridged
+        authority, and draw the correlation the outbound leg carries."""
+        if original_request_id:  # an RST need not carry a Context: no ID, nothing to guard
+            self.seen_ids.observe(sp.id, original_request_id)
+        ip = self.plan.bridged_ip(sp)
+        entry = CorrelationEntry(
+            secrets.token_urlsafe(24), original_request_id, sp.id, sp.dialect, acs_or_return_url,
+            time.time(), self.config.correlation_ttl, origin_relay, outbound_request_id,
         )
+        return entry, ip
+
+    def _redirect(self, leg: str, entry: CorrelationEntry, encode, request, target: str):
+        """Inbound leg: the translated request leaves with the correlation; it
+        is kept only now, so a request that fails on the way leaves none."""
+        message = encode(request, entry.correlation_id, target)
+        self.correlations.put(entry)
+        self._log_leg(leg, "sp->broker->ip", entry.correlation_id, "redirected")
+        return message
+
+    def _close(self, fields: dict[str, str], name: str, origin: Dialect) -> CorrelationEntry:
+        """Return leg: the correlation parameter, consumed at most once, of a
+        flow that began in the given dialect."""
+        correlation_id = fields.get(name, "")
+        if not correlation_id:
+            raise ProtocolError(f"missing parameter {name}")
+        entry = self.correlations.consume(correlation_id)
+        if entry.origin_dialect is not origin:
+            raise ProtocolError(f"correlation does not belong to a {origin.value}-origin flow")
+        return entry
+
+    def _relay(self, leg: str, entry: CorrelationEntry, status: SamlStatus, encode, result):
+        """Return leg: the result goes to the origin's consumer with its own
+        relay token, the authority's refusal included."""
+        message = encode(result, entry.origin_relay, entry.acs_or_return_url)
+        outcome = "relayed" if status is SamlStatus.SUCCESS else f"relayed-error:{status.value}"
+        self._log_leg(leg, "ip->broker->sp", entry.correlation_id, outcome)
+        return message
 
     # -- flow A: SAML SP -> broker -> WS-Fed IP --------------------------------
 
@@ -320,177 +350,107 @@ class Broker:
         """SAML authentication request in, WS-Federation sign-in redirect out."""
         req, relay_state = decode_saml_redirect(params)
         sp = self._registered_sp(req.issuer, Dialect.SAML2)
-        self.seen_ids.observe(req.issuer, req.id)
-
         registered_acs = sp.endpoints.get("acs", "")
         if req.acs_url and registered_acs and req.acs_url != registered_acs:
-            raise ProtocolError(
-                f"request ACS {req.acs_url} differs from registered endpoint"
-            )
+            raise ProtocolError(f"request ACS {req.acs_url} differs from registered endpoint")
         acs_url = req.acs_url or registered_acs
         if not acs_url:
             raise ProtocolError(f"{sp.id} has no assertion consumer endpoint")
 
-        ip = self.plan.bridged_ip(sp)
-        correlation_id = _fresh_correlation_id()
+        entry, ip = self._open(sp, req.id, acs_url, relay_state)
         # The token must come back through this broker, not go straight to
         # the origin provider; its consumer URL lives in the correlation entry.
         rst = authn_request_to_rst(
-            req,
-            self.config.ctx_map,
-            context=correlation_id,
+            req, self.config.ctx_map, context=entry.correlation_id,
             reply_to=self.config.broker_entity.endpoint("wsfed_return"),
         )
-
-        self.correlations.put(
-            CorrelationEntry(
-                correlation_id=correlation_id,
-                original_request_id=req.id,
-                origin_sp=sp.id,
-                origin_dialect=Dialect.SAML2,
-                acs_or_return_url=acs_url,
-                created=time.time(),
-                ttl=self.config.correlation_ttl,
-                origin_relay=relay_state,
-            )
-        )
-        self._log_leg("saml_sso", "sp->broker->ip", correlation_id, "redirected")
-        return encode_wsfed_signin(rst, correlation_id, ip.endpoint("signin"))
+        return self._redirect("saml_sso", entry, encode_wsfed_signin, rst, ip.endpoint("signin"))
 
     def handle_wsfed_return(self, fields: dict[str, str]) -> PostMessage:
         """Issued token comes back; extract, re-sign, reformat, relay."""
-        wctx = fields.get("wctx", "")
-        if not wctx:
-            raise ProtocolError("missing parameter wctx")
-        entry = self.correlations.consume(wctx)
-        if entry.origin_dialect is not Dialect.SAML2:
-            raise ProtocolError("correlation does not belong to a SAML-origin flow")
-
-        rstr, _ = decode_wsfed_signin_response_post(fields, require_token=True)
-        if rstr.context and rstr.context != entry.correlation_id:
+        entry = self._close(fields, "wctx", Dialect.SAML2)
+        rstr, _ = decode_wsfed_signin_response_post(fields, require_token=False)
+        if rstr.context != entry.correlation_id:
             raise ProtocolError("wresult context does not match correlation")
 
-        response = rstr_to_saml_response(
-            rstr,
-            self.verify_store,
-            self.signing_key,
-            in_response_to=entry.original_request_id,
-            attr_map=self.config.attr_map,
-            transform=self._pseudonym_transform(entry.origin_sp, session=wctx),
+        if rstr.requested_token is None:
+            response = SamlResponse(id=fresh_id(), in_response_to=entry.original_request_id,
+                                    issuer=self.broker_id, status=SamlStatus.RESPONDER)
+        else:
+            response = rstr_to_saml_response(
+                rstr, self.verify_store, self.signing_key,
+                in_response_to=entry.original_request_id, attr_map=self.config.attr_map,
+                transform=self._pseudonym_transform(entry.origin_sp),
+            )
+        return self._relay(
+            "wsfed_return", entry, response.status, encode_saml_response_post, response
         )
-        self._log_leg("wsfed_return", "ip->broker->sp", wctx, "relayed")
-        return encode_saml_response_post(response, entry.origin_relay, entry.acs_or_return_url)
 
     # -- flow B: WS-Fed SP -> broker -> SAML IdP --------------------------------
 
     def handle_wsfed_signin(self, params: dict[str, str]) -> RedirectMessage:
         """WS-Trust issue request in, SAML authentication redirect out."""
         rst, wctx = decode_wsfed_signin(params)
-        if rst.request_type != WST_ISSUE_URI:
-            raise UnsupportedRequestType(rst.request_type)
-        if rst.token_type != SAML2_ASSERTION_TOKEN_TYPE:
-            raise UnsupportedTokenType(rst.token_type)
-
         sp = self.plan.wsfed_sp(rst.reply_to)
-        ip = self.plan.bridged_ip(sp)
-
-        correlation_id = _fresh_correlation_id()
-        outbound_request_id = fresh_id()
+        entry, ip = self._open(sp, rst.context, rst.reply_to, wctx, outbound_request_id=fresh_id())
+        sso = ip.endpoint("sso")
         saml_req = rst_to_authn_request(
-            rst,
-            self.config.ctx_map,
-            issuer=self.broker_id,
+            rst, self.config.ctx_map, issuer=self.broker_id,
             acs_url=self.config.broker_entity.endpoint("saml_acs"),
-            destination=ip.endpoint("sso"),
-            request_id=outbound_request_id,
+            destination=sso, request_id=entry.outbound_request_id,
         )
-
-        self.correlations.put(
-            CorrelationEntry(
-                correlation_id=correlation_id,
-                original_request_id=rst.context,
-                origin_sp=sp.id,
-                origin_dialect=Dialect.WSFED11B,
-                acs_or_return_url=rst.reply_to,
-                created=time.time(),
-                ttl=self.config.correlation_ttl,
-                origin_relay=wctx,
-                outbound_request_id=outbound_request_id,
-            )
-        )
-        self._log_leg("wsfed_signin", "sp->broker->ip", correlation_id, "redirected")
-        return encode_saml_redirect(saml_req, correlation_id, ip.endpoint("sso"))
+        return self._redirect("wsfed_signin", entry, encode_saml_redirect, saml_req, sso)
 
     def handle_saml_acs(self, fields: dict[str, str]) -> PostMessage:
         """SAML response comes back; re-sign the assertion into an RSTR."""
-        response, relay_state = decode_saml_response_post(fields)
-        if not relay_state:
-            raise ProtocolError("missing parameter RelayState")
-        entry = self.correlations.consume(relay_state)
-        if entry.origin_dialect is not Dialect.WSFED11B:
-            raise ProtocolError("correlation does not belong to a WS-Federation flow")
+        entry = self._close(fields, "RelayState", Dialect.WSFED11B)
+        response, _ = decode_saml_response_post(fields)
         if response.in_response_to != entry.outbound_request_id:
             raise ProtocolError("response does not answer the broker's request")
 
-        if response.status is not SamlStatus.SUCCESS:
-            # The authority refused; relay a token-less result so the origin
-            # provider learns the outcome instead of timing out.
-            error_result = WstRequestSecurityTokenResponse(
-                context=entry.original_request_id,
-                token_type=SAML2_ASSERTION_TOKEN_TYPE,
+        if response.status is SamlStatus.SUCCESS:
+            rstr = saml_response_to_rstr(
+                response, self.verify_store, self.signing_key,
+                context=entry.original_request_id, attr_map=self.config.attr_map,
+                transform=self._pseudonym_transform(entry.origin_sp),
             )
-            self._log_leg("saml_acs", "ip->broker->sp", relay_state,
-                          f"relayed-error:{response.status.value}")
-            return encode_wsfed_signin_response_post(
-                error_result, entry.origin_relay, entry.acs_or_return_url
+        else:
+            rstr = WstRequestSecurityTokenResponse(
+                context=entry.original_request_id, token_type=SAML2_ASSERTION_TOKEN_TYPE
             )
-
-        rstr = saml_response_to_rstr(
-            response,
-            self.verify_store,
-            self.signing_key,
-            context=entry.original_request_id,
-            attr_map=self.config.attr_map,
-            transform=self._pseudonym_transform(entry.origin_sp, session=relay_state),
-        )
-        self._log_leg("saml_acs", "ip->broker->sp", relay_state, "relayed")
-        return encode_wsfed_signin_response_post(
-            rstr, entry.origin_relay, entry.acs_or_return_url
+        return self._relay(
+            "saml_acs", entry, response.status, encode_wsfed_signin_response_post, rstr
         )
 
     # -- HTTP surface -----------------------------------------------------------
 
     def routes(self) -> dict[tuple[str, str], RouteHandler]:
-        def saml_sso(request: HttpRequest) -> HttpResponse:
-            return redirect_response(self._logged(self.handle_saml_sso, "saml_sso", request.query))
-
-        def wsfed_return(request: HttpRequest) -> HttpResponse:
-            return form_response(self._logged(self.handle_wsfed_return, "wsfed_return", request.form))
-
-        def wsfed_signin(request: HttpRequest) -> HttpResponse:
-            return redirect_response(self._logged(self.handle_wsfed_signin, "wsfed_signin", request.query))
-
-        def saml_acs(request: HttpRequest) -> HttpResponse:
-            return form_response(self._logged(self.handle_saml_acs, "saml_acs", request.form))
-
-        def healthz(_: HttpRequest) -> HttpResponse:
-            return page_response("ok", self.broker_id.value)
-
-        return {
-            ("GET", "/saml/sso"): saml_sso,
-            ("POST", "/saml/acs"): saml_acs,
-            ("GET", "/wsfed/signin"): wsfed_signin,
-            ("POST", "/wsfed/return"): wsfed_return,
-            ("GET", "/healthz"): healthz,
+        routes = {
+            (method, path): self._route(method, handler, respond)
+            for method, path, handler, respond in (
+                ("GET", "/saml/sso", self.handle_saml_sso, redirect_response),
+                ("POST", "/wsfed/return", self.handle_wsfed_return, form_response),
+                ("GET", "/wsfed/signin", self.handle_wsfed_signin, redirect_response),
+                ("POST", "/saml/acs", self.handle_saml_acs, form_response),
+            )
         }
+        routes["GET", "/healthz"] = lambda _: page_response("ok", self.broker_id.value)
+        return routes
 
-    def _logged(self, handler, leg: str, params: dict[str, str]):
-        correlation = params.get("wctx") or params.get("RelayState") or ""
-        try:
-            return handler(params)
-        except FedBridgeError as exc:
-            self._log_leg(leg, "error", correlation, exc.code)
-            raise
+    def _route(self, method: str, handler, respond) -> RouteHandler:
+        """A handle_* operation over HTTP; a refusal is logged under its leg."""
+        leg = handler.__name__.removeprefix("handle_")
+
+        def route(request: HttpRequest) -> HttpResponse:
+            params = request.query if method == "GET" else request.form
+            try:
+                return respond(handler(params))
+            except FedBridgeError as exc:
+                correlation = params.get("wctx") or params.get("RelayState") or ""
+                self._log_leg(leg, "error", correlation, exc.code)
+                raise
+
+        return route
 
     def serve(self) -> ServerHandle:
         return start_server(

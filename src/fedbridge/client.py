@@ -65,10 +65,6 @@ class ScenarioTrace:
     def write(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
 
-    def param_sequence(self) -> list[list[str]]:
-        """Parameter names per step, for asserting the relay pattern."""
-        return [sorted(step.params) for step in self.steps if step.params]
-
 
 def http_exchange(
     method: str,

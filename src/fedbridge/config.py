@@ -58,7 +58,6 @@ class BrokerConfig:
     pseudonym_secret: bytes | None = None
     pseudonym_modes: dict[str, str] = field(default_factory=dict)
     mocks: MocksConfig = field(default_factory=MocksConfig)
-    raw: dict[str, Any] = field(default_factory=dict)
 
     @property
     def broker_entity(self) -> FederationEntity:
@@ -198,7 +197,6 @@ def config_from_dict(data: dict[str, Any], base_dir: str | Path = ".") -> Broker
         pseudonym_secret=pseudonym_secret,
         pseudonym_modes=pseudonym_modes,
         mocks=mocks,
-        raw=data,
     )
 
     broker_entity = config.broker_entity

@@ -397,16 +397,3 @@ class MockWsfedSp(_MockSpBase):
 
         return {("GET", "/login"): login, ("POST", "/return"): wsfed_return}
 
-
-def mock_issue_assertion(
-    authority: MockAuthority,
-    subject: str,
-    authn_context: str,
-    attrs: tuple[tuple[str, str], ...] | list[tuple[str, str]] | None = None,
-) -> SamlAssertion:
-    """Issue a signed assertion from a mock authority's user table."""
-    return authority.issue_assertion(
-        subject,
-        authn_context,
-        attrs=tuple(attrs) if attrs is not None else None,
-    )

@@ -3,8 +3,9 @@
 Persistent pseudonyms are a keyed one-way derivation from (subject,
 service provider): stable across sessions, different for every provider,
 and not invertible without the master secret. Transient pseudonyms are
-fresh randomness per (subject, provider, session). Either kind can later
-be linked to a provider-local account through the registry.
+fresh randomness: the broker draws one per sign-on with
+``fresh_transient`` and keeps no record of it. A pseudonym held in the
+registry can be linked to a provider-local account.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def derive_persistent(subject: str, sp: EntityId, master_secret: bytes) -> str:
     return base64.urlsafe_b64encode(digest).decode("ascii").rstrip("=")
 
 
-def _fresh_transient() -> str:
+def fresh_transient() -> str:
     return base64.urlsafe_b64encode(secrets.token_bytes(16)).decode("ascii").rstrip("=")
 
 
@@ -86,7 +87,7 @@ class PseudonymRegistry:
             if known is not None:
                 return self._by_pseudonym[known]
             record = PseudonymRecord(
-                _fresh_transient(), subject, sp, PseudonymKind.TRANSIENT, session=session
+                fresh_transient(), subject, sp, PseudonymKind.TRANSIENT, session=session
             )
             self._by_pseudonym[record.pseudonym] = record
             self._transient_index[key] = record.pseudonym

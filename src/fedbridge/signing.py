@@ -1,4 +1,4 @@
-"""Assertion signing, verification, and the broker's re-sign primitive.
+"""Assertion signing and verification over canonical bytes.
 
 Signatures are detached: they cover exactly ``canonical_bytes`` of the
 assertion, so re-signing swaps the signature without perturbing a single
@@ -160,12 +160,3 @@ def verify(assertion: SamlAssertion, trusted: KeyStore) -> EntityId:
         ) from None
     return record.owner
 
-
-def resign(assertion: SamlAssertion, trusted: KeyStore, broker_key: KeyRecord) -> SamlAssertion:
-    """Verify under the original issuer's key, then sign with the broker's.
-
-    The canonical bytes of the result equal those of the input: only the
-    signature changes hands.
-    """
-    verify(assertion, trusted)
-    return sign(assertion, broker_key)

@@ -24,6 +24,7 @@ from fedbridge.broker import (
     TRANSIENT_NAMEID_FORMAT,
 )
 from fedbridge.bindings import (
+    decode_saml_redirect,
     decode_saml_response_post,
     decode_wsfed_signin,
     decode_wsfed_signin_response_post,
@@ -45,13 +46,16 @@ from fedbridge.errors import (
 )
 from fedbridge.messages import (
     EntityId,
+    SamlResponse,
     SamlStatus,
+    WstRequestSecurityTokenResponse,
     canonical_bytes,
     fresh_id,
     utc_now,
 )
-from fedbridge.mocks import MockSamlIdp, MockWsfedSts
+from fedbridge.mocks import MockSamlIdp, MockSamlSp, MockWsfedSts
 from fedbridge.signing import KeyStore, generate_keypair, verify
+from fedbridge.translate import SAML2_ASSERTION_TOKEN_TYPE
 from fedbridge.trust import Dialect, TrustTopology
 
 from support import make_rst
@@ -186,6 +190,15 @@ class TestFlowA:
 
     def test_acs_mismatch_rejected(self, broker, demo_cfg):
         params = saml_sso_params(demo_cfg, acs_url="https://elsewhere.example.test/acs")
+        params.pop("__request_id")
+        with pytest.raises(ProtocolError):
+            broker.handle_saml_sso(params)
+
+    def test_no_acs_url_anywhere_rejected(self, demo_cfg, demo_cfg_dict, tmp_path):
+        entity = next(e for e in demo_cfg_dict["entities"] if e["id"] == SAML_SP)
+        entity["endpoints"].pop("acs")
+        broker = Broker(config_from_dict(demo_cfg_dict, base_dir=tmp_path))
+        params = saml_sso_params(demo_cfg, acs_url="")
         params.pop("__request_id")
         with pytest.raises(ProtocolError):
             broker.handle_saml_sso(params)
@@ -362,6 +375,93 @@ class TestFlowB:
         assert wctx == "sp-context-1"
 
 
+class TestSharedPaths:
+    """Both flows run one inbound and one return path, so a check either flow
+    makes, the other makes too."""
+
+    def test_replayed_rst_context(self, broker, demo_cfg):
+        broker.handle_wsfed_signin(wsfed_signin_params(demo_cfg))
+        with pytest.raises(Replay):
+            broker.handle_wsfed_signin(wsfed_signin_params(demo_cfg))
+
+    def test_rst_without_context_not_taken_for_a_replay(self, broker, demo_cfg):
+        broker.handle_wsfed_signin(wsfed_signin_params(demo_cfg, context=""))
+        broker.handle_wsfed_signin(wsfed_signin_params(demo_cfg, context=""))
+        assert len(broker.correlations) == 2
+
+    def test_empty_rstr_context_refused(self, broker, demo_cfg, sts):
+        params = saml_sso_params(demo_cfg)
+        params.pop("__request_id")
+        redirect = broker.handle_saml_sso(params)
+        sts_post = sts.handle_signin(location_params(redirect))
+        rstr, wctx = decode_wsfed_signin_response_post(dict(sts_post.fields))
+        forged = encode_wsfed_signin_response_post(replace(rstr, context=""), wctx, "ignored")
+        with pytest.raises(ProtocolError):
+            broker.handle_wsfed_return(dict(forged.fields))
+
+    def test_tokenless_result_reaches_saml_sp_as_responder(self, broker, demo_cfg, caplog):
+        entity = demo_cfg.topology.entity(EntityId(SAML_SP))
+        sp = MockSamlSp(entity, demo_cfg.trusted_store_for_sp(entity.id),
+                        demo_cfg.broker_entity.endpoint("saml_sso"))
+        login = location_params(sp.start_login())
+        request, relay_state = decode_saml_redirect(login)
+        with caplog.at_level(logging.INFO, logger="fedbridge.broker"):
+            wctx = location_params(broker.handle_saml_sso(login))["wctx"]
+            tokenless = WstRequestSecurityTokenResponse(
+                context=wctx, token_type=SAML2_ASSERTION_TOKEN_TYPE
+            )
+            post = broker.handle_wsfed_return(
+                dict(encode_wsfed_signin_response_post(tokenless, wctx, "ignored").fields)
+            )
+
+        response, relayed_state = decode_saml_response_post(dict(post.fields))
+        assert response.status is SamlStatus.RESPONDER and response.assertion is None
+        assert response.in_response_to == request.id
+        assert relayed_state == relay_state
+        page = sp.handle_acs(dict(post.fields))
+        assert dict(page.headers)["X-Outcome"] == "failed:Status:Responder"
+        assert sp.failures == ["Status:Responder"] and sp.contexts == []
+        outcomes = [json.loads(r.message)["outcome"] for r in caplog.records
+                    if r.name == "fedbridge.broker"]
+        assert outcomes == ["redirected", "relayed-error:Responder"]
+
+    def test_flow_b_correlation_refused_at_wsfed_return(self, broker, demo_cfg):
+        redirect = broker.handle_wsfed_signin(wsfed_signin_params(demo_cfg))
+        relay_state = location_params(redirect)["RelayState"]
+        tokenless = WstRequestSecurityTokenResponse(
+            context=relay_state, token_type=SAML2_ASSERTION_TOKEN_TYPE
+        )
+        post = encode_wsfed_signin_response_post(tokenless, relay_state, "ignored")
+        with pytest.raises(ProtocolError):
+            broker.handle_wsfed_return(dict(post.fields))
+
+    def test_flow_a_correlation_refused_at_saml_acs(self, broker, demo_cfg):
+        params = saml_sso_params(demo_cfg)
+        params.pop("__request_id")
+        wctx = location_params(broker.handle_saml_sso(params))["wctx"]
+        # Flow A keeps no outbound request ID, so this answers "its" request.
+        refusal = SamlResponse(
+            id=fresh_id(), in_response_to="", issuer=EntityId(IDP), status=SamlStatus.REQUESTER
+        )
+        post = encode_saml_response_post(refusal, wctx, "ignored")
+        with pytest.raises(ProtocolError):
+            broker.handle_saml_acs(dict(post.fields))
+
+    def test_missing_relay_state(self, broker, demo_cfg, idp):
+        redirect = broker.handle_wsfed_signin(wsfed_signin_params(demo_cfg))
+        fields = dict(idp.handle_sso(location_params(redirect)).fields)
+        fields.pop("RelayState")
+        with pytest.raises(ProtocolError):
+            broker.handle_saml_acs(fields)
+
+    @pytest.mark.parametrize("issuer", [WSFED_SP, IDP], ids=["wsfed_sp", "saml_idp"])
+    def test_authn_request_from_no_saml_sp(self, broker, demo_cfg, issuer):
+        params = saml_sso_params(demo_cfg, issuer=EntityId(issuer))
+        params.pop("__request_id")
+        with pytest.raises(UnknownIssuer):
+            broker.handle_saml_sso(params)
+
+
 class TestPseudonymModes:
     def _cfg_with_mode(self, demo_cfg_dict, tmp_path, mode):
         demo_cfg_dict["pseudonym"]["modes"] = {SAML_SP: mode}
@@ -393,6 +493,14 @@ class TestPseudonymModes:
         name2, _ = self._subject_of(second)
         assert name1 != name2
         assert format1 == TRANSIENT_NAMEID_FORMAT
+
+    def test_transient_sign_ons_keep_no_record(self, demo_cfg_dict, tmp_path, sts):
+        cfg = self._cfg_with_mode(demo_cfg_dict, tmp_path, "transient")
+        broker = Broker(cfg)
+        before = len(broker.pseudonyms)
+        for _ in range(5):
+            run_flow_a(broker, cfg, sts)
+        assert len(broker.pseudonyms) == before
 
     def test_default_mode_keeps_subject(self, broker, demo_cfg, sts):
         _, _, _, final_post = run_flow_a(broker, demo_cfg, sts)

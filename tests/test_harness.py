@@ -10,7 +10,6 @@ import pytest
 from fedbridge.config import config_from_dict
 from fedbridge.errors import UnknownSubject
 from fedbridge.messages import canonical_bytes
-from fedbridge.mocks import mock_issue_assertion
 from fedbridge.scenarios import (
     Scenario,
     environment,
@@ -172,8 +171,8 @@ class TestBrokerSeesOnlyProtocolDocuments:
 class TestMockAuthorities:
     def test_issue_assertion_verifies_under_mock_key(self, demo_cfg):
         with environment(demo_cfg) as env:
-            assertion = mock_issue_assertion(
-                env.saml_idp, "alice", "urn:oasis:names:tc:SAML:2.0:ac:classes:Password"
+            assertion = env.saml_idp.issue_assertion(
+                "alice", "urn:oasis:names:tc:SAML:2.0:ac:classes:Password"
             )
             idp_store = KeyStore([demo_cfg.public_keys["idp-signing"]])
             assert verify(assertion, idp_store) == env.saml_idp.entity.id
@@ -181,13 +180,13 @@ class TestMockAuthorities:
     def test_issue_assertion_unknown_subject(self, demo_cfg):
         with environment(demo_cfg) as env:
             with pytest.raises(UnknownSubject):
-                mock_issue_assertion(env.saml_idp, "mallory", "urn:ctx")
+                env.saml_idp.issue_assertion("mallory", "urn:ctx")
 
     def test_empty_attrs_give_no_attribute_statement(self, demo_cfg):
         from fedbridge.messages import serialize
 
         with environment(demo_cfg) as env:
-            assertion = mock_issue_assertion(env.saml_idp, "alice", "urn:ctx", attrs=())
+            assertion = env.saml_idp.issue_assertion("alice", "urn:ctx", attrs=())
             assert "AttributeStatement" not in serialize(assertion)
 
 

@@ -2,7 +2,10 @@
 not, exits 0, writes nothing to standard error, and ends its standard output
 with one strict-JSON result line that is correct and whose every metric is
 a finite number. An untraced run carries every end-to-end metric named in
-BENCHMARK.json.
+BENCHMARK.json, and a traced run every per-layer metric, with no line naming
+a metric as absent: a renamed or deleted function that the tracer patches,
+or a piece of broker state it gauges, would otherwise drop its metric
+without failing the run.
 
 Anything the program prints, logs or warns at exit lands after that line
 and breaks the contract, with the two streams apart or merged.
@@ -22,6 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
 END_TO_END = [metric["name"] for metric in BENCHMARK["end_to_end"]]
+PER_LAYER = [metric["name"] for metric in BENCHMARK["per_layer"]]
 
 
 def _reject_constant(name: str):
@@ -46,8 +50,9 @@ def _check_result_is_last_line(workload: str, merged: bool, trace: int) -> None:
     result = json.loads(lines[-1], parse_constant=_reject_constant)
     assert result["correct"] is True
     metrics = result["metrics"]
-    if not trace:
-        assert [name for name in END_TO_END if name not in metrics] == []
+    expected = PER_LAYER if trace else END_TO_END
+    assert [name for name in expected if name not in metrics] == []
+    assert [line for line in lines if line.startswith("absent per-layer metrics")] == []
     for name, metric in metrics.items():
         value = metric["value"]
         assert isinstance(value, (int, float)) and math.isfinite(value), (name, value)

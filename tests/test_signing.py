@@ -1,4 +1,4 @@
-"""Sign / verify / resign over canonical bytes, plus key handling."""
+"""Sign / verify over canonical bytes, plus key handling."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from fedbridge.signing import (
     KeyStore,
     generate_keypair,
     load_key_pem,
-    resign,
     save_key_pem,
     sign,
     verify,
@@ -100,40 +99,6 @@ class TestSignVerify:
         tampered = mutate(signed)
         with pytest.raises(SignatureInvalid):
             verify(tampered, KeyStore([public]))
-
-
-class TestResign:
-    def test_resign_swaps_signature_only(self, idp_pair, broker_pair):
-        idp_private, idp_public = idp_pair
-        broker_private, broker_public = broker_pair
-        original = sign(make_assertion(), idp_private)
-
-        resigned = resign(original, KeyStore([idp_public]), broker_private)
-
-        assert canonical_bytes(resigned) == canonical_bytes(original)
-        assert resigned.signature.key_id == "broker-signing"
-        assert verify(resigned, KeyStore([broker_public])) == BROKER_ID
-
-    def test_resign_unsigned_assertion(self, idp_pair, broker_pair):
-        _, idp_public = idp_pair
-        broker_private, _ = broker_pair
-        with pytest.raises(MissingSignature):
-            resign(make_assertion(), KeyStore([idp_public]), broker_private)
-
-    def test_resign_is_idempotent_under_broker_trust(self, idp_pair, broker_pair):
-        idp_private, idp_public = idp_pair
-        broker_private, broker_public = broker_pair
-        store = KeyStore([idp_public, broker_public])
-        first = resign(sign(make_assertion(), idp_private), store, broker_private)
-        second = resign(first, store, broker_private)
-        assert second == first
-
-    def test_resign_rejects_tampered_input(self, idp_pair, broker_pair):
-        idp_private, idp_public = idp_pair
-        broker_private, _ = broker_pair
-        tampered = replace(sign(make_assertion(), idp_private), subject_name="mallory")
-        with pytest.raises(SignatureInvalid):
-            resign(tampered, KeyStore([idp_public]), broker_private)
 
 
 class TestKeyHandling:
