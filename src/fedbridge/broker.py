@@ -17,16 +17,21 @@ translated and encoded. ``_close`` requires the correlation parameter,
 consumes it once and checks the flow's origin dialect; the response must
 answer the broker's own request (RSTR Context or InResponseTo), and
 ``_relay`` passes an authority's refusal on as a SAML ``Responder`` status
-or a token-less RSTR.
+or a token-less RSTR. Before it relays an assertion, ``check_relayable``
+refuses one from another authority than the one the flow was sent to, one
+outside its validity window (with the configured clock skew), and one
+relayed before.
 
 Everything a request needs from the configuration is resolved once, at
 start, into a frozen ``RequestPlan``, and the keys come loaded on their
 ``KeyRecord``: no request walks the trust graph or rebuilds a key.
 
-The correlation store (entries consumed at most once, atomically) and the
-seen-request-id set drop expired entries as new ones arrive, so both stay
-bounded by request rate x TTL, abandoned flows included. The only other
-state is the persistent pseudonyms. No credential passes the broker.
+The correlation store (entries consumed at most once, atomically), the
+seen-request-id set and the set of relayed assertion IDs drop expired
+entries as new ones arrive, so each stays bounded by request rate x TTL,
+abandoned flows included. Persistent pseudonyms are derived afresh on every
+sign-on; the broker keeps the set of those it has issued, and no subject
+name. No credential passes the broker.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import secrets
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
@@ -57,12 +62,14 @@ from .config import BrokerConfig
 from .errors import (
     ExpiredCorrelation,
     FedBridgeError,
+    LifetimeInvalid,
     NoTrustPath,
     ProtocolError,
     Replay,
     UnknownCorrelation,
     UnknownEntity,
     UnknownIssuer,
+    UntrustedIssuer,
 )
 from .httpd import (
     HttpRequest,
@@ -82,7 +89,7 @@ from .messages import (
     WstRequestSecurityTokenResponse,
     fresh_id,
 )
-from .pseudonym import PseudonymRegistry, fresh_transient
+from .pseudonym import derive_persistent, fresh_transient
 from .translate import (
     SAML2_ASSERTION_TOKEN_TYPE,
     AssertionTransform,
@@ -98,6 +105,11 @@ logger = logging.getLogger(__name__)
 PERSISTENT_NAMEID_FORMAT = "urn:oasis:names:tc:SAML:2.0:nameid-format:persistent"
 TRANSIENT_NAMEID_FORMAT = "urn:oasis:names:tc:SAML:2.0:nameid-format:transient"
 
+# How long past its relay an assertion may stay valid, beyond the clock skew:
+# the mock authorities' 300 s. It sizes how long the broker remembers the ID
+# of an assertion it relayed.
+MAX_ASSERTION_LIFETIME_S = 300
+
 
 @dataclass
 class CorrelationEntry:
@@ -106,7 +118,9 @@ class CorrelationEntry:
     ``correlation_id`` rides the outbound transport (wctx in flow A,
     RelayState in flow B); ``original_request_id`` is whatever the origin
     provider correlates on (its request ID, or its WS-Trust context);
-    ``origin_relay`` is the transport token echoed back on the final POST.
+    ``origin_relay`` is the transport token echoed back on the final POST;
+    ``expected_issuer`` is the authority the outbound leg went to, the only
+    issuer whose assertion the return leg relays.
     """
 
     correlation_id: str
@@ -118,6 +132,7 @@ class CorrelationEntry:
     ttl: float
     origin_relay: str = ""
     outbound_request_id: str = ""
+    expected_issuer: EntityId | None = None
 
 
 class _ExpiringMap:
@@ -173,7 +188,8 @@ class CorrelationStore(_ExpiringMap):
 
 
 class SeenRequestIds(_ExpiringMap):
-    """Replay guard: a request id may be presented once per TTL window."""
+    """Replay guard: an ID, of a request or of an assertion, may be presented
+    once per TTL window by one issuer."""
 
     _entries: OrderedDict[tuple[str, str], float]
 
@@ -191,7 +207,7 @@ class SeenRequestIds(_ExpiringMap):
             self._sweep(now)
             seen_at = self._entries.get(key)
             if seen_at is not None and not self._expired(seen_at, now):
-                raise Replay(f"request id {request_id} already seen from {issuer}")
+                raise Replay(f"id {request_id} already seen from {issuer}")
             self._entries[key] = now
 
 
@@ -264,7 +280,11 @@ class Broker:
         self.verify_store = config.broker_verify_store()
         self.correlations = CorrelationStore()
         self.seen_ids = SeenRequestIds(config.replay_ttl)
-        self.pseudonyms = PseudonymRegistry()
+        # An assertion passes the window check until NotOnOrAfter + skew, and
+        # its NotOnOrAfter may lie MAX_ASSERTION_LIFETIME_S + skew ahead.
+        self.seen_assertions = SeenRequestIds(MAX_ASSERTION_LIFETIME_S + 2 * config.clock_skew)
+        # The persistent pseudonyms issued, for the benchmark's gauge only.
+        self.pseudonyms: set[str] = set()
         self.plan = RequestPlan.compile(config.topology, self.broker_id)
 
     # -- helpers -------------------------------------------------------------
@@ -287,11 +307,12 @@ class Broker:
 
         def rewrite(assertion: SamlAssertion) -> SamlAssertion:
             if mode == "persistent":
-                record = self.pseudonyms.register_persistent(assertion.subject_name, sp, secret)
-                name, name_format = record.pseudonym, PERSISTENT_NAMEID_FORMAT
-            else:  # nothing ever looks a transient pseudonym up, so none is kept
+                name = derive_persistent(assertion.subject_name, sp, secret)
+                self.pseudonyms.add(name)
+                name_format = PERSISTENT_NAMEID_FORMAT
+            else:
                 name, name_format = fresh_transient(), TRANSIENT_NAMEID_FORMAT
-            return replace(assertion, subject_name=name, subject_name_format=name_format)
+            return assertion.copy_with(subject_name=name, subject_name_format=name_format)
 
         return rewrite
 
@@ -313,7 +334,7 @@ class Broker:
         ip = self.plan.bridged_ip(sp)
         entry = CorrelationEntry(
             secrets.token_urlsafe(24), original_request_id, sp.id, sp.dialect, acs_or_return_url,
-            time.time(), self.config.correlation_ttl, origin_relay, outbound_request_id,
+            time.time(), self.config.correlation_ttl, origin_relay, outbound_request_id, ip.id,
         )
         return entry, ip
 
@@ -336,13 +357,43 @@ class Broker:
             raise ProtocolError(f"correlation does not belong to a {origin.value}-origin flow")
         return entry
 
-    def _relay(self, leg: str, entry: CorrelationEntry, status: SamlStatus, encode, result):
-        """Return leg: the result goes to the origin's consumer with its own
-        relay token, the authority's refusal included."""
+    def _relay(
+        self, leg: str, entry: CorrelationEntry, status: SamlStatus,
+        assertion: SamlAssertion | None, encode, result,
+    ):
+        """Return leg: a relayed assertion must be relayable; the result goes
+        to the origin's consumer with its own relay token, the authority's
+        refusal included."""
+        if status is SamlStatus.SUCCESS:
+            self.check_relayable(assertion, entry, time.time())
         message = encode(result, entry.origin_relay, entry.acs_or_return_url)
         outcome = "relayed" if status is SamlStatus.SUCCESS else f"relayed-error:{status.value}"
         self._log_leg(leg, "ip->broker->sp", entry.correlation_id, outcome)
         return message
+
+    def check_relayable(
+        self, assertion: SamlAssertion, entry: CorrelationEntry, now: float
+    ) -> None:
+        """Refuse an assertion the final service provider must not accept.
+
+        The relayed copy keeps the authority's ID, issuer and validity
+        window, so they are read there. Refused: another issuer than the
+        authority the flow went to; an instant ``now`` outside the window,
+        widened by the clock skew; a NotOnOrAfter further ahead than
+        ``MAX_ASSERTION_LIFETIME_S`` plus the skew, which the set of relayed
+        IDs could not outlive; and an ID that set already holds.
+        """
+        if assertion.issuer != entry.expected_issuer:
+            raise UntrustedIssuer(f"{assertion.issuer} is not the authority this flow went to")
+        skew = self.config.clock_skew
+        not_on_or_after = assertion.not_on_or_after.timestamp()
+        if now < assertion.not_before.timestamp() - skew or now >= not_on_or_after + skew:
+            raise LifetimeInvalid(f"assertion {assertion.id} is outside its validity window")
+        if not_on_or_after > now + MAX_ASSERTION_LIFETIME_S + skew:
+            raise LifetimeInvalid(
+                f"assertion {assertion.id} stays valid longer than {MAX_ASSERTION_LIFETIME_S} s"
+            )
+        self.seen_assertions.observe(assertion.issuer, assertion.id)
 
     # -- flow A: SAML SP -> broker -> WS-Fed IP --------------------------------
 
@@ -382,9 +433,8 @@ class Broker:
                 in_response_to=entry.original_request_id, attr_map=self.config.attr_map,
                 transform=self._pseudonym_transform(entry.origin_sp),
             )
-        return self._relay(
-            "wsfed_return", entry, response.status, encode_saml_response_post, response
-        )
+        return self._relay("wsfed_return", entry, response.status, response.assertion,
+                           encode_saml_response_post, response)
 
     # -- flow B: WS-Fed SP -> broker -> SAML IdP --------------------------------
 
@@ -418,9 +468,8 @@ class Broker:
             rstr = WstRequestSecurityTokenResponse(
                 context=entry.original_request_id, token_type=SAML2_ASSERTION_TOKEN_TYPE
             )
-        return self._relay(
-            "saml_acs", entry, response.status, encode_wsfed_signin_response_post, rstr
-        )
+        return self._relay("saml_acs", entry, response.status, rstr.requested_token,
+                           encode_wsfed_signin_response_post, rstr)
 
     # -- HTTP surface -----------------------------------------------------------
 

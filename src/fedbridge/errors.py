@@ -91,12 +91,6 @@ class UnknownEntity(FedBridgeError):
     code = "UnknownEntity"
 
 
-# --- pseudonyms ----------------------------------------------------------------
-
-class UnknownPseudonym(FedBridgeError):
-    code = "UnknownPseudonym"
-
-
 # --- transport bindings ---------------------------------------------------------
 
 class RequestTooLarge(FedBridgeError):
@@ -123,6 +117,10 @@ class UnknownCorrelation(FedBridgeError):
 
 class ExpiredCorrelation(FedBridgeError):
     code = "ExpiredCorrelation"
+
+
+class LifetimeInvalid(FedBridgeError):
+    code = "LifetimeInvalid"
 
 
 # --- harness ----------------------------------------------------------------------

@@ -90,6 +90,13 @@ def _check_text(value: str, field_name: str) -> str:
     return value
 
 
+def _checked_attributes(attributes) -> tuple[tuple[str, str], ...]:
+    return tuple(
+        (_check_text(n, "attribute name"), _check_text(v, "attribute value"))
+        for n, v in attributes
+    )
+
+
 def _normalize_instant(value: datetime, field_name: str) -> datetime:
     if not isinstance(value, datetime) or value.tzinfo is None:
         raise InvariantViolation(f"{field_name} must be a timezone-aware datetime")
@@ -228,11 +235,26 @@ class SamlAssertion:
             raise InvariantViolation(
                 "SamlAssertion requires not_before < not_on_or_after"
             )
-        attrs = tuple(
-            (_check_text(n, "attribute name"), _check_text(v, "attribute value"))
-            for n, v in self.attributes
-        )
-        object.__setattr__(self, "attributes", attrs)
+        object.__setattr__(self, "attributes", _checked_attributes(self.attributes))
+
+    def copy_with(self, **changes) -> SamlAssertion:
+        """A copy with the subject, the attributes or the signature changed.
+
+        Only the changed text is checked: ``dataclasses.replace`` would re-run
+        every check above, one regex per attribute, and the relay path copies
+        an assertion up to three times (attribute names, pseudonym,
+        signature). The ID, issuer and validity window cannot change here.
+        """
+        for name, value in changes.items():
+            if name == "attributes":
+                changes[name] = _checked_attributes(value)
+            elif name in ("subject_name", "subject_name_format"):
+                _check_text(value, name)
+            elif name != "signature":
+                raise InvariantViolation(f"SamlAssertion.copy_with cannot change {name}")
+        copy = object.__new__(SamlAssertion)
+        copy.__dict__.update(self.__dict__, **changes)
+        return copy
 
 
 @dataclass(frozen=True)

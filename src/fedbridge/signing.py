@@ -9,7 +9,7 @@ build registers Ed25519.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -141,7 +141,7 @@ def sign(assertion: SamlAssertion, key: KeyRecord) -> SamlAssertion:
     if key.role is not KeyRole.SIGNING_PRIVATE:
         raise WrongKeyRole(f"cannot sign with {key.role.value} key {key.key_id}")
     value = key.loaded.sign(canonical_bytes(assertion))
-    return replace(assertion, signature=Signature(key.key_id, ED25519, value))
+    return assertion.copy_with(signature=Signature(key.key_id, ED25519, value))
 
 
 def verify(assertion: SamlAssertion, trusted: KeyStore) -> EntityId:

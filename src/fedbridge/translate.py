@@ -14,7 +14,7 @@ dialect's response document.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -256,7 +256,7 @@ def _relay_assertion(
     mapped = assertion
     renamed = attr_map.rename(assertion.attributes, direction)
     if renamed != assertion.attributes:
-        mapped = replace(assertion, attributes=renamed)
+        mapped = assertion.copy_with(attributes=renamed)
     if transform is not None:
         mapped = transform(mapped)
     return sign(mapped, broker_signer)

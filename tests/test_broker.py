@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 from urllib.parse import parse_qs, urlparse
 
 import pytest
@@ -36,6 +37,7 @@ from fedbridge.bindings import (
 from fedbridge.config import config_from_dict
 from fedbridge.errors import (
     ExpiredCorrelation,
+    LifetimeInvalid,
     NoTrustPath,
     ProtocolError,
     Replay,
@@ -43,6 +45,7 @@ from fedbridge.errors import (
     UnknownCorrelation,
     UnknownIssuer,
     UnsupportedRequestType,
+    UntrustedIssuer,
 )
 from fedbridge.messages import (
     EntityId,
@@ -54,7 +57,8 @@ from fedbridge.messages import (
     utc_now,
 )
 from fedbridge.mocks import MockSamlIdp, MockSamlSp, MockWsfedSts
-from fedbridge.signing import KeyStore, generate_keypair, verify
+from fedbridge.pseudonym import derive_persistent
+from fedbridge.signing import KeyStore, generate_keypair, sign, verify
 from fedbridge.translate import SAML2_ASSERTION_TOKEN_TYPE
 from fedbridge.trust import Dialect, TrustTopology
 
@@ -481,7 +485,8 @@ class TestPseudonymModes:
         name2, format2 = self._subject_of(second)
         assert name1 == name2 != "alice"
         assert format1 == format2 == PERSISTENT_NAMEID_FORMAT
-        assert broker.pseudonyms.lookup(name1).subject == "alice"
+        assert name1 == derive_persistent("alice", EntityId(SAML_SP), cfg.pseudonym_secret)
+        assert broker.pseudonyms == {name1}
 
     def test_transient_mode_changes_per_session(self, demo_cfg_dict, tmp_path, sts):
         cfg = self._cfg_with_mode(demo_cfg_dict, tmp_path, "transient")
@@ -726,6 +731,128 @@ class TestExpiringState:
             store.consume("c1")
         with pytest.raises(UnknownCorrelation):
             store.consume("c1")
+
+
+def at(seconds: float) -> datetime:
+    return datetime.fromtimestamp(seconds, timezone.utc)
+
+
+def reissued(authority, **changes):
+    """An assertion the authority signs for alice, with ``changes`` made first."""
+    issued = authority.issue_assertion("alice", PASSWORD_CLASS)
+    return sign(replace(issued, **changes), authority.signing_key)
+
+
+def deliver_on_sts_leg(broker, demo_cfg, assertion):
+    """Open a fresh flow A and deliver the assertion on its STS leg."""
+    params = saml_sso_params(demo_cfg)
+    params.pop("__request_id")
+    wctx = location_params(broker.handle_saml_sso(params))["wctx"]
+    rstr = WstRequestSecurityTokenResponse(
+        context=wctx, token_type=SAML2_ASSERTION_TOKEN_TYPE, requested_token=assertion,
+        lifetime=(assertion.not_before, assertion.not_on_or_after),
+    )
+    post = encode_wsfed_signin_response_post(rstr, wctx, "ignored")
+    return broker.handle_wsfed_return(dict(post.fields))
+
+
+def deliver_on_idp_leg(broker, demo_cfg, assertion):
+    """Open a fresh flow B and deliver the assertion on its IdP leg."""
+    redirect = broker.handle_wsfed_signin(wsfed_signin_params(demo_cfg, context=fresh_id()))
+    request, relay_state = decode_saml_redirect(location_params(redirect))
+    response = SamlResponse(
+        id=fresh_id(), in_response_to=request.id, issuer=assertion.issuer,
+        status=SamlStatus.SUCCESS, assertion=assertion,
+    )
+    post = encode_saml_response_post(response, relay_state, "ignored")
+    return broker.handle_saml_acs(dict(post.fields))
+
+
+class TestRelayChecks:
+    """What the final service provider must not accept, the broker refuses to
+    relay: a validly signed assertion from the wrong authority, outside its
+    validity window, or relayed before."""
+
+    def test_saml_idp_assertion_on_the_sts_leg(self, broker, demo_cfg, idp):
+        with pytest.raises(UntrustedIssuer):
+            deliver_on_sts_leg(broker, demo_cfg, idp.issue_assertion("alice", PASSWORD_CLASS))
+
+    def test_sts_assertion_on_the_idp_leg(self, broker, demo_cfg, sts):
+        with pytest.raises(UntrustedIssuer):
+            deliver_on_idp_leg(broker, demo_cfg, sts.issue_assertion("alice", PASSWORD_CLASS))
+
+    def test_assertion_expired_nine_days_ago(self, broker, demo_cfg, sts):
+        expired = at(time.time() - 9 * 86_400)
+        assertion = reissued(
+            sts, not_before=expired - timedelta(seconds=360), not_on_or_after=expired
+        )
+        with pytest.raises(LifetimeInvalid):
+            deliver_on_sts_leg(broker, demo_cfg, assertion)
+
+    def test_assertion_not_yet_valid_past_the_skew(self, broker, demo_cfg, idp, clock):
+        skew = demo_cfg.clock_skew
+        assertion = reissued(
+            idp, not_before=at(clock.now + skew + 30), not_on_or_after=at(clock.now + skew + 90)
+        )
+        with pytest.raises(LifetimeInvalid):
+            deliver_on_idp_leg(broker, demo_cfg, assertion)
+
+    def test_window_edges_widened_by_the_skew(self, broker, demo_cfg, sts, clock):
+        skew = demo_cfg.clock_skew
+        deliver_on_sts_leg(broker, demo_cfg, reissued(
+            sts, not_before=at(clock.now + skew), not_on_or_after=at(clock.now + skew + 60)))
+        deliver_on_sts_leg(broker, demo_cfg, reissued(
+            sts, not_before=at(clock.now - 300), not_on_or_after=at(clock.now - skew + 1)))
+        with pytest.raises(LifetimeInvalid):
+            deliver_on_sts_leg(broker, demo_cfg, reissued(
+                sts, not_before=at(clock.now - 300), not_on_or_after=at(clock.now - skew)))
+
+    def test_lifetime_beyond_the_cap_refused(self, broker, demo_cfg, sts, clock):
+        horizon = clock.now + broker_module.MAX_ASSERTION_LIFETIME_S + demo_cfg.clock_skew
+        deliver_on_sts_leg(broker, demo_cfg, reissued(
+            sts, not_before=at(clock.now), not_on_or_after=at(horizon)))
+        with pytest.raises(LifetimeInvalid):
+            deliver_on_sts_leg(broker, demo_cfg, reissued(
+                sts, not_before=at(clock.now), not_on_or_after=at(horizon + 1)))
+
+    def test_captured_sts_assertion_replayed_under_a_fresh_correlation(
+        self, broker, demo_cfg, sts
+    ):
+        # The benchmark's replay step: the RSTR Context lies outside the
+        # signature, so the captured wresult is rewritten to the fresh wctx.
+        captured = dict(run_flow_a(broker, demo_cfg, sts)[2].fields)
+        params = saml_sso_params(demo_cfg)
+        params.pop("__request_id")
+        fresh = location_params(broker.handle_saml_sso(params))["wctx"]
+        old = f'Context="{captured["wctx"]}"'
+        assert old in captured["wresult"]
+        forged = {"wa": captured["wa"], "wctx": fresh,
+                  "wresult": captured["wresult"].replace(old, f'Context="{fresh}"')}
+        with pytest.raises(Replay):
+            broker.handle_wsfed_return(forged)
+
+    def test_captured_idp_assertion_replayed_in_a_fresh_response(self, broker, demo_cfg, idp):
+        redirect = broker.handle_wsfed_signin(wsfed_signin_params(demo_cfg))
+        post = idp.handle_sso(location_params(redirect))
+        broker.handle_saml_acs(dict(post.fields))
+        response, _ = decode_saml_response_post(dict(post.fields))
+        with pytest.raises(Replay):
+            deliver_on_idp_leg(broker, demo_cfg, response.assertion)
+
+    def test_replay_refused_while_the_window_admits_the_assertion(
+        self, broker, demo_cfg, sts, clock
+    ):
+        # Valid for the longest lifetime accepted, the assertion passes the
+        # window check until NotOnOrAfter + skew; its ID must outlive that.
+        skew = demo_cfg.clock_skew
+        lifetime = broker_module.MAX_ASSERTION_LIFETIME_S + skew
+        assertion = reissued(
+            sts, not_before=at(clock.now), not_on_or_after=at(clock.now + lifetime)
+        )
+        deliver_on_sts_leg(broker, demo_cfg, assertion)
+        clock.now += lifetime + skew - 1
+        with pytest.raises(Replay):
+            deliver_on_sts_leg(broker, demo_cfg, assertion)
 
 
 class TestStructuredLog:

@@ -355,3 +355,35 @@ class TestInvariants:
     def test_empty_id_rejected(self):
         with pytest.raises(InvariantViolation):
             make_authn_request(id="")
+
+
+class TestAssertionCopy:
+    """``copy_with`` checks only what it changes, and gives what
+    ``dataclasses.replace`` gives."""
+
+    @settings(max_examples=50)
+    @given(support.assertions(), support.assertions())
+    def test_same_as_replace(self, assertion, other):
+        changes = dict(subject_name=other.subject_name,
+                       subject_name_format=other.subject_name_format,
+                       attributes=list(other.attributes),
+                       signature=Signature("k1", "ed25519", b"\x01" * 64))
+        copy = assertion.copy_with(**changes)
+        assert copy == replace(assertion, **changes)
+        assert isinstance(copy.attributes, tuple)
+
+    @pytest.mark.parametrize("changes", [
+        {"subject_name": "bad\x00byte"},
+        {"subject_name_format": "bad\x01format"},
+        {"attributes": (("name", "bad\x02value"),)},
+        {"attributes": (("bad\x03name", "value"),)},
+    ], ids=["subject_name", "subject_name_format", "attribute_value", "attribute_name"])
+    def test_changed_text_checked(self, changes):
+        with pytest.raises(InvariantViolation):
+            make_assertion().copy_with(**changes)
+
+    @pytest.mark.parametrize("field", ["id", "issuer", "not_before", "not_on_or_after"])
+    def test_identity_and_window_cannot_change(self, field):
+        assertion = make_assertion()
+        with pytest.raises(InvariantViolation):
+            assertion.copy_with(**{field: getattr(assertion, field)})

@@ -68,3 +68,13 @@ def test_result_is_last_line(workload, merged):
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_traced_result_is_last_line(workload, merged):
     _check_result_is_last_line(workload, merged, trace=1)
+
+
+def test_relay_inproc_refuses_the_replayed_delivery():
+    # Each relay-inproc round ends by replaying a captured assertion under a
+    # fresh correlation; the run counts it as failed when the broker relays it.
+    done = _run("relay-inproc", merged=False, trace=0)
+    assert done.returncode == 0, done.stdout + done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["attempted"] > 0
+    assert result["failed"] == 0

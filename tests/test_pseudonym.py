@@ -1,4 +1,4 @@
-"""Pair-wise pseudonym derivation and the account-linking registry."""
+"""Pair-wise pseudonym derivation and fresh transient pseudonyms."""
 
 from __future__ import annotations
 
@@ -8,13 +8,9 @@ import hmac
 
 import pytest
 
-from fedbridge.errors import InvariantViolation, UnknownPseudonym
+from fedbridge.errors import InvariantViolation
 from fedbridge.messages import EntityId
-from fedbridge.pseudonym import (
-    PseudonymKind,
-    PseudonymRegistry,
-    derive_persistent,
-)
+from fedbridge.pseudonym import derive_persistent, fresh_transient
 
 SP1 = EntityId("https://sp1.example.test")
 SP2 = EntityId("https://sp2.example.test")
@@ -62,87 +58,6 @@ class TestDerivePersistent:
             derive_persistent("", SP1, SECRET)
 
 
-class TestRegistry:
-    def test_register_persistent_is_stable(self):
-        registry = PseudonymRegistry()
-        first = registry.register_persistent("alice", SP1, SECRET)
-        second = registry.register_persistent("alice", SP1, SECRET)
-        assert first == second
-        assert first.kind is PseudonymKind.PERSISTENT
-
-    def test_transient_changes_per_session(self):
-        registry = PseudonymRegistry()
-        s1 = registry.issue_transient("alice", SP1, "session-1")
-        s2 = registry.issue_transient("alice", SP1, "session-2")
-        assert s1.pseudonym != s2.pseudonym
-
-    def test_transient_stable_within_session(self):
-        registry = PseudonymRegistry()
-        first = registry.issue_transient("alice", SP1, "session-1")
-        again = registry.issue_transient("alice", SP1, "session-1")
-        assert first == again
-        assert registry.lookup(first.pseudonym) == first
-
-    def test_transient_issuances_never_collide(self):
-        registry = PseudonymRegistry()
-        issued = {
-            registry.issue_transient("alice", SP1, f"session-{i}").pseudonym
-            for i in range(10_000)
-        }
-        assert len(issued) == 10_000
-
-    def test_link_then_resolve(self):
-        registry = PseudonymRegistry()
-        record = registry.register_persistent("alice", SP1, SECRET)
-        registry.link_account(record.pseudonym, "local-account-7")
-        assert registry.resolve(record.pseudonym) == "local-account-7"
-
-    def test_link_unknown_pseudonym(self):
-        with pytest.raises(UnknownPseudonym):
-            PseudonymRegistry().link_account("ghost", "acct")
-
-    def test_relink_last_writer_wins(self):
-        # Sequential oracle replay: apply the same link sequence to a plain
-        # dict and compare the surviving value.
-        registry = PseudonymRegistry()
-        record = registry.register_persistent("alice", SP1, SECRET)
-        sequence = ["a1", "a2", "a3"]
-        oracle: dict[str, str] = {}
-        for account in sequence:
-            registry.link_account(record.pseudonym, account)
-            oracle[record.pseudonym] = account
-        assert registry.resolve(record.pseudonym) == oracle[record.pseudonym] == "a3"
-
-    def test_unlinked_resolves_to_none(self):
-        registry = PseudonymRegistry()
-        record = registry.register_persistent("alice", SP1, SECRET)
-        assert registry.resolve(record.pseudonym) is None
-
-
-class TestSnapshot:
-    def test_round_trip(self, tmp_path):
-        registry = PseudonymRegistry()
-        persistent = registry.register_persistent("alice", SP1, SECRET)
-        transient = registry.issue_transient("bob", SP2, "session-9")
-        registry.link_account(persistent.pseudonym, "acct-1")
-
-        path = tmp_path / "pseudonyms.tsv"
-        registry.save_snapshot(path)
-        restored = PseudonymRegistry.load_snapshot(path)
-
-        assert restored.lookup(persistent.pseudonym).linked_account == "acct-1"
-        assert restored.lookup(transient.pseudonym).session == "session-9"
-        assert restored.issue_transient("bob", SP2, "session-9") == restored.lookup(
-            transient.pseudonym
-        )
-        assert len(restored) == 2
-
-    def test_snapshot_has_documented_header(self, tmp_path):
-        registry = PseudonymRegistry()
-        registry.register_persistent("alice", SP1, SECRET)
-        path = tmp_path / "snap.tsv"
-        registry.save_snapshot(path)
-        first_line = path.read_text().splitlines()[0]
-        assert first_line.startswith("#")
-        for column in ("pseudonym", "subject", "sp", "kind", "session", "linked_account"):
-            assert column in first_line
+class TestFreshTransient:
+    def test_issuances_never_collide(self):
+        assert len({fresh_transient() for _ in range(10_000)}) == 10_000

@@ -3,17 +3,17 @@
     python3 tools/mutants.py
 
 The checks are read from ``src/fedbridge/broker.py``: in ``Broker._open``,
-``_close``, ``_registered_sp`` and the four ``handle_*`` methods, every
-``if ...: raise`` (one mutant per operand of an ``or``), every ``except``
-that turns an error into a refusal, and every call made only for the error
-it may raise (the replay guard). Each mutant makes its check never fire, in
+``_close``, ``_registered_sp``, ``check_relayable`` and the four
+``handle_*`` methods, every ``if ...: raise`` (one mutant per operand of an
+``or``), every ``except`` that turns an error into a refusal, and every call
+made only for the error it may raise (the two replay guards). Each mutant makes its check never fire, in
 a temporary copy of ``src/`` and ``tests/``, and runs tier-1 there without
 C11 (fifty sign-ons over HTTP) and without ``tests/test_perfbench_output.py``
 (it runs the benchmark). The suite failing means the mutant is KILLED; the
 suite passing means SURVIVED: no test pins that check. The unmutated copy
 runs first and must pass. The exit status is 0 when every mutant is killed.
 Standard library only. Each mutant costs one such tier-1 run, which stops at
-the first failure: 10 mutants took 77 s on a 2-vCPU VM.
+the first failure: 15 mutants took 74 s on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BROKER = Path("src/fedbridge/broker.py")
-CHECKED = {"_open", "_close", "_registered_sp", "handle_saml_sso", "handle_wsfed_return",
-           "handle_wsfed_signin", "handle_saml_acs"}
+CHECKED = {"_open", "_close", "_registered_sp", "check_relayable", "handle_saml_sso",
+           "handle_wsfed_return", "handle_wsfed_signin", "handle_saml_acs"}
 SUITE = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests",
          "--deselect", "tests/test_acceptance.py::test_c11_concurrency",
          "--ignore", "tests/test_perfbench_output.py"]
