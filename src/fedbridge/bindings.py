@@ -9,8 +9,9 @@ Parameter names are fixed wire constants: ``SAMLRequest``/``SAMLResponse``
 with ``RelayState`` on the SAML side; ``wa`` (always ``wsignin1.0``),
 ``wreq``, ``wresult`` and ``wctx`` on the WS-Federation side. The SAML
 redirect payload is deflate-compressed and base64-encoded per the standard
-redirect convention; the WS-Federation request document rides URL-encoded
-XML and is therefore capped at 6 KiB to stay inside practical URL limits.
+redirect convention, and inflates to at most 64 KiB; the WS-Federation
+request document rides URL-encoded XML and is therefore capped at 6 KiB to
+stay inside practical URL limits.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .messages import (
 
 WSIGNIN = "wsignin1.0"
 WREQ_MAX_BYTES = 6 * 1024
+MAX_INFLATED_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -105,10 +107,17 @@ def encode_saml_redirect(
 
 def decode_saml_redirect(params: Mapping[str, str]) -> tuple[SamlAuthnRequest, str]:
     raw = _require(params, "SAMLRequest")
+    inflater = zlib.decompressobj(-15)
     try:
-        xml = zlib.decompress(base64.b64decode(raw, validate=True), -15).decode("utf-8")
+        inflated = inflater.decompress(base64.b64decode(raw, validate=True),
+                                       MAX_INFLATED_BYTES + 1)
+        xml = inflated.decode("utf-8") if inflater.eof else None
     except Exception:
         raise ProtocolError("SAMLRequest is not deflated base64") from None
+    if len(inflated) > MAX_INFLATED_BYTES:
+        raise RequestTooLarge(f"SAMLRequest inflates past {MAX_INFLATED_BYTES} bytes")
+    if xml is None:
+        raise ProtocolError("SAMLRequest is a truncated deflate stream")
     return parse(xml, SamlAuthnRequest), params.get("RelayState", "")
 
 

@@ -17,14 +17,14 @@ translated and encoded. ``_close`` requires the correlation parameter,
 consumes it once and checks the flow's origin dialect; the response must
 answer the broker's own request (RSTR Context or InResponseTo), and
 ``_relay`` passes an authority's refusal on as a SAML ``Responder`` status
-or a token-less RSTR. Before it relays an assertion, ``check_relayable``
-refuses one from another authority than the one the flow was sent to, one
-outside its validity window (with the configured clock skew), and one
-relayed before.
+or a token-less RSTR. ``check_relayable`` is the one relay decision: it
+runs on the authority's assertion before anything is renamed, rewritten or
+signed.
 
 Everything a request needs from the configuration is resolved once, at
-start, into a frozen ``RequestPlan``, and the keys come loaded on their
-``KeyRecord``: no request walks the trust graph or rebuilds a key.
+start: the routes and each authority's keys into a frozen ``RequestPlan``,
+and each provider's pseudonym rewrite. No request walks the trust graph,
+rebuilds a key or builds a closure.
 
 The correlation store (entries consumed at most once, atomically), the
 seen-request-id set and the set of relayed assertion IDs drop expired
@@ -63,13 +63,13 @@ from .errors import (
     ExpiredCorrelation,
     FedBridgeError,
     LifetimeInvalid,
+    NoSubject,
     NoTrustPath,
     ProtocolError,
     Replay,
     UnknownCorrelation,
     UnknownEntity,
     UnknownIssuer,
-    UntrustedIssuer,
 )
 from .httpd import (
     HttpRequest,
@@ -90,6 +90,7 @@ from .messages import (
     fresh_id,
 )
 from .pseudonym import derive_persistent, fresh_transient
+from .signing import KeyStore
 from .translate import (
     SAML2_ASSERTION_TOKEN_TYPE,
     AssertionTransform,
@@ -97,6 +98,7 @@ from .translate import (
     authn_request_to_rst,
     rstr_to_saml_response,
     saml_response_to_rstr,
+    verify_issuer,
 )
 from .trust import Dialect, FederationEntity, Role, TrustTopology, resolve_path
 
@@ -119,8 +121,8 @@ class CorrelationEntry:
     RelayState in flow B); ``original_request_id`` is whatever the origin
     provider correlates on (its request ID, or its WS-Trust context);
     ``origin_relay`` is the transport token echoed back on the final POST;
-    ``expected_issuer`` is the authority the outbound leg went to, the only
-    issuer whose assertion the return leg relays.
+    ``expected_issuer`` is the authority the outbound leg went to: the return
+    leg verifies under its keys only.
     """
 
     correlation_id: str
@@ -217,16 +219,19 @@ class RequestPlan:
 
     The topology never changes while the broker runs, so neither does the
     identity provider it bridges each service provider to, nor the
-    WS-Federation provider that replies at each address. A lookup that
-    finds nothing still fails the request: ``NoTrustPath`` for a provider
-    the broker does not bridge, ``UnknownIssuer`` for an unknown address.
+    WS-Federation provider that replies at each address, nor the keys each
+    identity provider owns. A lookup that finds nothing still fails the
+    request: ``NoTrustPath`` for a provider the broker does not bridge,
+    ``UnknownIssuer`` for an unknown address.
     """
 
     bridged_ips: Mapping[EntityId, FederationEntity | None]
     wsfed_sps_by_reply_to: Mapping[str, FederationEntity]
+    authority_keys: Mapping[EntityId, KeyStore]
 
     @classmethod
-    def compile(cls, topology: TrustTopology, broker_id: EntityId) -> RequestPlan:
+    def compile(cls, config: BrokerConfig) -> RequestPlan:
+        topology, broker_id = config.topology, config.broker_id
         idps = topology.by_role(Role.IDENTITY_PROVIDER)
         sps = topology.by_role(Role.SERVICE_PROVIDER)
         bridged_ips: dict[EntityId, FederationEntity | None] = {}
@@ -241,7 +246,11 @@ class RequestPlan:
             if sp.dialect is Dialect.WSFED11B and address is not None:
                 # Providers sharing an address: the first by entity ID wins.
                 reply_to.setdefault(address, sp)
-        return cls(MappingProxyType(bridged_ips), MappingProxyType(reply_to))
+        authority_keys = {
+            ip.id: KeyStore([config.public_keys[key_id] for key_id in ip.keys]) for ip in idps
+        }
+        return cls(MappingProxyType(bridged_ips), MappingProxyType(reply_to),
+                   MappingProxyType(authority_keys))
 
     def bridged_ip(self, sp: FederationEntity) -> FederationEntity:
         """The identity provider this broker bridges the given SP to."""
@@ -269,6 +278,11 @@ def _bridges(
     return len(path) == 3 and path[1] == broker_id
 
 
+def _transient_rewrite(assertion: SamlAssertion) -> SamlAssertion:
+    return assertion.copy_with(subject_name=fresh_transient(),
+                               subject_name_format=TRANSIENT_NAMEID_FORMAT)
+
+
 class Broker:
     """Protocol-level broker; the HTTP surface is a thin adapter over the
     four handle_* operations so they stay directly exercisable."""
@@ -277,7 +291,6 @@ class Broker:
         self.config = config
         self.broker_id = config.broker_id
         self.signing_key = config.signing_key
-        self.verify_store = config.broker_verify_store()
         self.correlations = CorrelationStore()
         self.seen_ids = SeenRequestIds(config.replay_ttl)
         # An assertion passes the window check until NotOnOrAfter + skew, and
@@ -285,7 +298,12 @@ class Broker:
         self.seen_assertions = SeenRequestIds(MAX_ASSERTION_LIFETIME_S + 2 * config.clock_skew)
         # The persistent pseudonyms issued, for the benchmark's gauge only.
         self.pseudonyms: set[str] = set()
-        self.plan = RequestPlan.compile(config.topology, self.broker_id)
+        self.plan = RequestPlan.compile(config)
+        # Each provider with a pseudonym mode, and the rewrite of its assertions.
+        self.rewrites: Mapping[EntityId, AssertionTransform] = MappingProxyType({
+            EntityId(sp): self._pseudonym_rewrite(EntityId(sp), mode)
+            for sp, mode in config.pseudonym_modes.items() if mode != "none"
+        })
 
     # -- helpers -------------------------------------------------------------
 
@@ -298,23 +316,19 @@ class Broker:
             raise UnknownIssuer(f"{issuer} is not a registered {dialect.value} service provider")
         return entity
 
-    def _pseudonym_transform(self, sp: EntityId) -> AssertionTransform | None:
-        mode = self.config.pseudonym_modes.get(sp.value, "none")
-        if mode == "none":
-            return None
+    def _pseudonym_rewrite(self, sp: EntityId, mode: str) -> AssertionTransform:
+        if mode == "transient":
+            return _transient_rewrite
         secret = self.config.pseudonym_secret
         assert secret is not None  # enforced at config load
 
-        def rewrite(assertion: SamlAssertion) -> SamlAssertion:
-            if mode == "persistent":
-                name = derive_persistent(assertion.subject_name, sp, secret)
-                self.pseudonyms.add(name)
-                name_format = PERSISTENT_NAMEID_FORMAT
-            else:
-                name, name_format = fresh_transient(), TRANSIENT_NAMEID_FORMAT
-            return assertion.copy_with(subject_name=name, subject_name_format=name_format)
+        def persistent_rewrite(assertion: SamlAssertion) -> SamlAssertion:
+            name = derive_persistent(assertion.subject_name, sp, secret)
+            self.pseudonyms.add(name)
+            return assertion.copy_with(subject_name=name,
+                                       subject_name_format=PERSISTENT_NAMEID_FORMAT)
 
-        return rewrite
+        return persistent_rewrite
 
     def _log_leg(self, leg: str, direction: str, correlation_id: str, outcome: str) -> None:
         if logger.isEnabledFor(logging.INFO):
@@ -357,15 +371,9 @@ class Broker:
             raise ProtocolError(f"correlation does not belong to a {origin.value}-origin flow")
         return entry
 
-    def _relay(
-        self, leg: str, entry: CorrelationEntry, status: SamlStatus,
-        assertion: SamlAssertion | None, encode, result,
-    ):
-        """Return leg: a relayed assertion must be relayable; the result goes
-        to the origin's consumer with its own relay token, the authority's
-        refusal included."""
-        if status is SamlStatus.SUCCESS:
-            self.check_relayable(assertion, entry, time.time())
+    def _relay(self, leg: str, entry: CorrelationEntry, status: SamlStatus, encode, result):
+        """Return leg: the result goes to the origin's consumer with its own
+        relay token, the authority's refusal included."""
         message = encode(result, entry.origin_relay, entry.acs_or_return_url)
         outcome = "relayed" if status is SamlStatus.SUCCESS else f"relayed-error:{status.value}"
         self._log_leg(leg, "ip->broker->sp", entry.correlation_id, outcome)
@@ -376,15 +384,20 @@ class Broker:
     ) -> None:
         """Refuse an assertion the final service provider must not accept.
 
-        The relayed copy keeps the authority's ID, issuer and validity
-        window, so they are read there. Refused: another issuer than the
-        authority the flow went to; an instant ``now`` outside the window,
+        Called on the authority's assertion before it is translated; the
+        relayed copy keeps its ID, issuer and validity window. Refused, in
+        this order: a signature that does not verify under the keys of the
+        authority the flow went to, or under a key its issuer does not own;
+        no subject name; an instant ``now`` outside the validity window,
         widened by the clock skew; a NotOnOrAfter further ahead than
         ``MAX_ASSERTION_LIFETIME_S`` plus the skew, which the set of relayed
-        IDs could not outlive; and an ID that set already holds.
+        IDs could not outlive; and an ID that set already holds. An admitted
+        ID is recorded at once, so a translation that fails after this check
+        still spends it.
         """
-        if assertion.issuer != entry.expected_issuer:
-            raise UntrustedIssuer(f"{assertion.issuer} is not the authority this flow went to")
+        verify_issuer(assertion, self.plan.authority_keys[entry.expected_issuer])
+        if not assertion.subject_name:
+            raise NoSubject(f"assertion {assertion.id} names no subject")
         skew = self.config.clock_skew
         not_on_or_after = assertion.not_on_or_after.timestamp()
         if now < assertion.not_before.timestamp() - skew or now >= not_on_or_after + skew:
@@ -428,12 +441,13 @@ class Broker:
             response = SamlResponse(id=fresh_id(), in_response_to=entry.original_request_id,
                                     issuer=self.broker_id, status=SamlStatus.RESPONDER)
         else:
+            self.check_relayable(rstr.requested_token, entry, time.time())
             response = rstr_to_saml_response(
-                rstr, self.verify_store, self.signing_key,
+                rstr, self.signing_key,
                 in_response_to=entry.original_request_id, attr_map=self.config.attr_map,
-                transform=self._pseudonym_transform(entry.origin_sp),
+                transform=self.rewrites.get(entry.origin_sp),
             )
-        return self._relay("wsfed_return", entry, response.status, response.assertion,
+        return self._relay("wsfed_return", entry, response.status,
                            encode_saml_response_post, response)
 
     # -- flow B: WS-Fed SP -> broker -> SAML IdP --------------------------------
@@ -459,16 +473,17 @@ class Broker:
             raise ProtocolError("response does not answer the broker's request")
 
         if response.status is SamlStatus.SUCCESS:
+            self.check_relayable(response.assertion, entry, time.time())
             rstr = saml_response_to_rstr(
-                response, self.verify_store, self.signing_key,
+                response, self.signing_key,
                 context=entry.original_request_id, attr_map=self.config.attr_map,
-                transform=self._pseudonym_transform(entry.origin_sp),
+                transform=self.rewrites.get(entry.origin_sp),
             )
         else:
             rstr = WstRequestSecurityTokenResponse(
                 context=entry.original_request_id, token_type=SAML2_ASSERTION_TOKEN_TYPE
             )
-        return self._relay("saml_acs", entry, response.status, rstr.requested_token,
+        return self._relay("saml_acs", entry, response.status,
                            encode_wsfed_signin_response_post, rstr)
 
     # -- HTTP surface -----------------------------------------------------------

@@ -4,7 +4,9 @@ subcommands:
   broker       run the interoperability broker from a configuration file
   mocks        run the mock authorities and providers from the same file
   scenario     drive a full cross-dialect sign-on and report Pass/Fail
-  translate    convert a single protocol document between dialects
+  translate    convert one authentication request between dialects; a
+               response is refused, since only the broker's return path,
+               with its relay checks, re-signs an assertion
   topo         print the responsible entity and relay path for an SP/IP pair
   demo-config  write a runnable demo deployment (keys, ports, config.json)
 """
@@ -18,14 +20,12 @@ import sys
 import threading
 from pathlib import Path
 
-from .config import BrokerConfig, load_config
+from .config import load_config
 from .errors import FedBridgeError
 from .messages import (
     EntityId,
     SamlAuthnRequest,
-    SamlResponse,
     WstRequestSecurityToken,
-    WstRequestSecurityTokenResponse,
     fresh_id,
     parse,
     serialize,
@@ -40,8 +40,6 @@ from .translate import (
     AuthnContextMapping,
     authn_request_to_rst,
     rst_to_authn_request,
-    rstr_to_saml_response,
-    saml_response_to_rstr,
 )
 from .trust import resolve_path, resolve_responsible
 
@@ -70,14 +68,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scenario.add_argument("--force-authn", action="store_true")
     p_scenario.add_argument("--subject", help="which mock user signs in")
 
-    p_translate = sub.add_parser("translate", help="convert one document")
+    p_translate = sub.add_parser(
+        "translate", help="convert one authentication request between dialects"
+    )
     p_translate.add_argument("--from", dest="source", choices=("saml", "wsfed"), required=True)
     p_translate.add_argument("--to", dest="target", choices=("saml", "wsfed"), required=True)
     p_translate.add_argument("--in", dest="infile", required=True)
     p_translate.add_argument("--out", dest="outfile", required=True)
-    p_translate.add_argument("--config", help="mapping tables and keys (required for responses)")
-    p_translate.add_argument("--context", default="", help="WS-Trust context for request/response output")
-    p_translate.add_argument("--in-response-to", default="", help="request id for SAML response output")
+    p_translate.add_argument("--config", help="context mapping table and broker identity")
+    p_translate.add_argument("--context", default="", help="WS-Trust context of the RST written")
 
     p_topo = sub.add_parser("topo", help="resolve interoperability responsibility")
     p_topo.add_argument("--config", required=True)
@@ -146,46 +145,15 @@ def _cmd_translate(args) -> int:
         print("translate: --from and --to must differ", file=sys.stderr)
         return 2
     xml = Path(args.infile).read_text(encoding="utf-8")
-    config: BrokerConfig | None = load_config(args.config) if args.config else None
+    config = load_config(args.config) if args.config else None
     ctx_map = config.ctx_map if config else _permissive_ctx_map()
 
     if args.source == "saml":
-        try:
-            document = parse(xml, SamlAuthnRequest)
-        except FedBridgeError:
-            document = parse(xml, SamlResponse)
-        if isinstance(document, SamlAuthnRequest):
-            out = authn_request_to_rst(document, ctx_map, context=args.context or fresh_id())
-        else:
-            if config is None:
-                print("translate: responses need --config for keys", file=sys.stderr)
-                return 2
-            out = saml_response_to_rstr(
-                document,
-                config.broker_verify_store(),
-                config.signing_key,
-                context=args.context,
-                attr_map=config.attr_map,
-            )
+        out = authn_request_to_rst(parse(xml, SamlAuthnRequest), ctx_map,
+                                   context=args.context or fresh_id())
     else:
-        try:
-            document = parse(xml, WstRequestSecurityToken)
-        except FedBridgeError:
-            document = parse(xml, WstRequestSecurityTokenResponse)
-        if isinstance(document, WstRequestSecurityToken):
-            issuer = config.broker_id if config else EntityId("urn:fedbridge:translator")
-            out = rst_to_authn_request(document, ctx_map, issuer)
-        else:
-            if config is None:
-                print("translate: responses need --config for keys", file=sys.stderr)
-                return 2
-            out = rstr_to_saml_response(
-                document,
-                config.broker_verify_store(),
-                config.signing_key,
-                in_response_to=args.in_response_to,
-                attr_map=config.attr_map,
-            )
+        issuer = config.broker_id if config else EntityId("urn:fedbridge:translator")
+        out = rst_to_authn_request(parse(xml, WstRequestSecurityToken), ctx_map, issuer)
 
     Path(args.outfile).write_text(serialize(out) + "\n", encoding="utf-8")
     print(f"wrote {type(out).__name__} to {args.outfile}")

@@ -63,15 +63,6 @@ class BrokerConfig:
     def broker_entity(self) -> FederationEntity:
         return self.topology.entity(self.broker_id)
 
-    def broker_verify_store(self) -> KeyStore:
-        """Keys the broker accepts assertions under: every registered
-        identity provider's verifying keys."""
-        store = KeyStore()
-        for entity in self.topology.by_role(Role.IDENTITY_PROVIDER):
-            for key_id in entity.keys:
-                store.register(self.public_keys[key_id])
-        return store
-
     def trusted_store_for_sp(self, sp_id: EntityId) -> KeyStore:
         """What a mock service provider trusts; default: the broker's key."""
         key_ids = self.mocks.sp_trusted_keys.get(

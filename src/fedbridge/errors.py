@@ -123,6 +123,10 @@ class LifetimeInvalid(FedBridgeError):
     code = "LifetimeInvalid"
 
 
+class NoSubject(FedBridgeError):
+    code = "NoSubject"
+
+
 # --- harness ----------------------------------------------------------------------
 
 class ScenarioSetupError(FedBridgeError):

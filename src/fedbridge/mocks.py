@@ -326,10 +326,6 @@ class MockSamlSp(_MockSpBase):
 class MockWsfedSp(_MockSpBase):
     """WS-Federation service provider: initiates at /login, consumes at /return."""
 
-    def __init__(self, *args, authentication_type: str | None = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.authentication_type = authentication_type
-
     def start_login(self) -> RedirectMessage:
         claims_dialect = None
         claim_types: tuple[str, ...] = ()
@@ -343,7 +339,6 @@ class MockWsfedSp(_MockSpBase):
             reply_to=self.entity.endpoint("return"),
             claims_dialect=claims_dialect,
             claim_types=claim_types,
-            authentication_type=self.authentication_type,
             force_authn=self.force_authn,
         )
         with self._lock:

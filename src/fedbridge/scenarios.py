@@ -113,11 +113,9 @@ def _netloc(url: str) -> tuple[str, int]:
     return parsed.hostname, parsed.port
 
 
-def start_environment(
-    config: BrokerConfig, *, with_broker: bool = True, with_mocks: bool = True
-) -> Environment:
+def start_environment(config: BrokerConfig, *, with_broker: bool = True) -> Environment:
     """Start the broker and one mock per topology entity; endpoints decide
-    where each one binds. The two flags let the CLI run either half alone."""
+    where each one binds. Without the broker, the mocks run on their own."""
     env = Environment(config=config)
     started: dict[tuple[str, int], str] = {}
 
@@ -140,8 +138,6 @@ def start_environment(
         if with_broker:
             env.broker = Broker(config)
             launch("broker", broker_entity.endpoint("saml_sso"), env.broker.routes())
-        if not with_mocks:
-            return env
 
         mocks = config.mocks
         for entity in config.topology.entities():

@@ -132,9 +132,6 @@ class KeyStore:
         except KeyError:
             raise UnknownKeyId(key_id) from None
 
-    def key_ids(self) -> list[str]:
-        return sorted(self._records)
-
 
 def sign(assertion: SamlAssertion, key: KeyRecord) -> SamlAssertion:
     """Return the assertion with a fresh signature over its canonical bytes."""

@@ -5,18 +5,18 @@ issue request (and back), with the expected subject-name format carried as
 an authorization claim of the same type and the requested authentication
 context folded through a configurable mapping table.
 
-Response direction: the embedded assertion is extracted, verified against
-the original issuer's key, attribute names are mapped, and the result is
-re-signed under the broker's key before being wrapped in the other
-dialect's response document.
+Response direction: the embedded assertion, already verified
+(``verify_issuer``) and admitted by the caller, has its attribute names
+mapped and is re-signed under the broker's key before being wrapped in the
+other dialect's response document.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Mapping
 
 from .errors import (
     InvariantViolation,
@@ -56,52 +56,47 @@ class MappingDirection(Enum):
     WST_TO_SAML = "wst-to-saml"
 
 
-def _check_partial_bijection(entries: tuple[tuple[str, str], ...], what: str) -> None:
-    left = [a for a, _ in entries]
-    right = [b for _, b in entries]
-    if len(set(left)) != len(left) or len(set(right)) != len(right):
-        raise InvariantViolation(f"{what} entries must form a partial bijection")
+@dataclass(frozen=True)
+class _PairTable:
+    """(SAML name, WS-Trust name) pairs forming a partial bijection, with the
+    lookup of each direction built once, at construction."""
+
+    entries: tuple[tuple[str, str], ...] = ()
+    tables: Mapping[MappingDirection, Mapping[str, str]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        entries = tuple((a, b) for a, b in self.entries)
+        to_wst, to_saml = dict(entries), {b: a for a, b in entries}
+        if len(to_wst) != len(entries) or len(to_saml) != len(entries):
+            raise InvariantViolation(
+                f"{type(self).__name__} entries must form a partial bijection"
+            )
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "tables", {MappingDirection.SAML_TO_WST: to_wst,
+                                            MappingDirection.WST_TO_SAML: to_saml})
 
 
 @dataclass(frozen=True)
-class AuthnContextMapping:
+class AuthnContextMapping(_PairTable):
     """SAML authentication-context classes paired with WS-Trust authentication
     types. ``pass_through`` forwards unmapped SAML context URIs verbatim, for
     deployments whose token service accepts the SAML vocabulary directly."""
 
-    entries: tuple[tuple[str, str], ...] = ()
     pass_through: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple((a, b) for a, b in self.entries))
-        _check_partial_bijection(self.entries, "AuthnContextMapping")
-
-    def to_wst(self) -> dict[str, str]:
-        return dict(self.entries)
-
-    def to_saml(self) -> dict[str, str]:
-        return {b: a for a, b in self.entries}
 
 
 @dataclass(frozen=True)
-class AttributeNameMapping:
+class AttributeNameMapping(_PairTable):
     """Attribute-name unification: SAML attribute names paired with the claim
     types the WS-Federation side uses for the same information. Names outside
     the table pass through unchanged."""
 
-    entries: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple((a, b) for a, b in self.entries))
-        _check_partial_bijection(self.entries, "AttributeNameMapping")
-
     def rename(
         self, attributes: tuple[tuple[str, str], ...], direction: MappingDirection
     ) -> tuple[tuple[str, str], ...]:
-        if direction is MappingDirection.SAML_TO_WST:
-            table = dict(self.entries)
-        else:
-            table = {b: a for a, b in self.entries}
+        table = self.tables[direction]
         return tuple((table.get(name, name), value) for name, value in attributes)
 
 
@@ -118,26 +113,15 @@ def map_authn_context(
     nothing maps, and pass-through is off.
     """
     classes = tuple(classes)
-    if direction is MappingDirection.SAML_TO_WST:
-        if not classes:
-            return None
-        table = ctx_map.to_wst()
-        for cls in classes:
-            if cls in table:
-                return table[cls]
-            if ctx_map.pass_through:
-                return cls
-        raise UnmappedAuthnContext(", ".join(classes))
-    else:
-        if not classes:
-            return ()
-        table = ctx_map.to_saml()
-        for uri in classes:
-            if uri in table:
-                return (table[uri],)
-            if ctx_map.pass_through:
-                return (uri,)
-        raise UnmappedAuthnContext(", ".join(classes))
+    to_wst = direction is MappingDirection.SAML_TO_WST
+    if not classes:
+        return None if to_wst else ()
+    table = ctx_map.tables[direction]
+    for cls in classes:
+        if cls in table or ctx_map.pass_through:
+            mapped = table.get(cls, cls)
+            return mapped if to_wst else (mapped,)
+    raise UnmappedAuthnContext(", ".join(classes))
 
 
 def name_id_policy_to_claims(format_uri: str) -> tuple[str, tuple[str, ...]]:
@@ -231,28 +215,28 @@ def rst_to_authn_request(
     )
 
 
-def _verify_issuer(assertion: SamlAssertion, verifier_keys: KeyStore) -> EntityId:
+# Here, not in the broker: a tracer patches ``verify`` and ``sign`` in this module.
+def verify_issuer(assertion: SamlAssertion, issuer_keys: KeyStore) -> None:
+    """Refuse an assertion not signed by a key its own issuer owns, among the
+    keys given."""
     try:
-        owner = verify(assertion, verifier_keys)
+        owner = verify(assertion, issuer_keys)
     except UnknownKeyId as exc:
         raise UntrustedIssuer(f"no registered key {exc}") from None
     if owner != assertion.issuer:
         raise UntrustedIssuer(
             f"assertion issuer {assertion.issuer} does not own signing key"
         )
-    return owner
 
 
 def _relay_assertion(
     assertion: SamlAssertion,
-    verifier_keys: KeyStore,
     broker_signer: KeyRecord,
     attr_map: AttributeNameMapping,
     direction: MappingDirection,
     transform: AssertionTransform | None,
 ) -> SamlAssertion:
-    """verify → map attribute names → optional rewrite → re-sign."""
-    _verify_issuer(assertion, verifier_keys)
+    """map attribute names → optional rewrite → re-sign."""
     mapped = assertion
     renamed = attr_map.rename(assertion.attributes, direction)
     if renamed != assertion.attributes:
@@ -264,23 +248,21 @@ def _relay_assertion(
 
 def rstr_to_saml_response(
     rstr: WstRequestSecurityTokenResponse,
-    verifier_keys: KeyStore,
     broker_signer: KeyRecord,
     in_response_to: str,
     attr_map: AttributeNameMapping,
     *,
     transform: AssertionTransform | None = None,
 ) -> SamlResponse:
-    """Extract the issued token, re-sign it, reformat as a SAML response."""
+    """Extract the issued token, re-sign it, reformat as a SAML response.
+
+    The caller has already verified and admitted the token: nothing here
+    checks its signature, issuer or validity window.
+    """
     if rstr.requested_token is None:
         raise TokenMissing("response carries no security token")
     assertion = _relay_assertion(
-        rstr.requested_token,
-        verifier_keys,
-        broker_signer,
-        attr_map,
-        MappingDirection.WST_TO_SAML,
-        transform,
+        rstr.requested_token, broker_signer, attr_map, MappingDirection.WST_TO_SAML, transform
     )
     return SamlResponse(
         id=fresh_id(),
@@ -293,24 +275,22 @@ def rstr_to_saml_response(
 
 def saml_response_to_rstr(
     resp: SamlResponse,
-    verifier_keys: KeyStore,
     broker_signer: KeyRecord,
     context: str,
     attr_map: AttributeNameMapping,
     *,
     transform: AssertionTransform | None = None,
 ) -> WstRequestSecurityTokenResponse:
-    """Extract the assertion, re-sign it, embed it as the requested token."""
+    """Extract the assertion, re-sign it, embed it as the requested token.
+
+    The caller has already verified and admitted the assertion: nothing here
+    checks its signature, issuer or validity window.
+    """
     if resp.status is not SamlStatus.SUCCESS:
         raise NonSuccessStatus(resp.status.value)
     assert resp.assertion is not None
     assertion = _relay_assertion(
-        resp.assertion,
-        verifier_keys,
-        broker_signer,
-        attr_map,
-        MappingDirection.SAML_TO_WST,
-        transform,
+        resp.assertion, broker_signer, attr_map, MappingDirection.SAML_TO_WST, transform
     )
     return WstRequestSecurityTokenResponse(
         context=context,

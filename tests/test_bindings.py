@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from fedbridge.bindings import (
+    MAX_INFLATED_BYTES,
     WREQ_MAX_BYTES,
     auto_post_html,
     decode_saml_redirect,
@@ -25,7 +26,7 @@ from fedbridge.bindings import (
 )
 from fedbridge.client import extract_form
 from fedbridge.errors import ProtocolError, RequestTooLarge, TokenMissing
-from fedbridge.messages import SamlStatus, canonical_bytes, parse, SamlAuthnRequest
+from fedbridge.messages import SamlStatus, canonical_bytes, parse, serialize, SamlAuthnRequest
 
 from support import (
     authn_requests,
@@ -109,6 +110,33 @@ class TestSamlRedirect:
     def test_missing_parameter_rejected(self):
         with pytest.raises(ProtocolError):
             decode_saml_redirect({"RelayState": "x"})
+
+    @staticmethod
+    def _deflated(xml: bytes) -> dict[str, str]:
+        payload = zlib.compress(xml, 9)[2:-4]
+        return {"SAMLRequest": base64.b64encode(payload).decode("ascii")}
+
+    def test_inflate_bomb_refused(self):
+        # ~11 KB on the wire: a valid request followed by 8 MB of blanks.
+        bomb = self._deflated(serialize(make_authn_request()).encode() + b" " * (8 << 20))
+        assert len(bomb["SAMLRequest"]) < 12_000
+        with pytest.raises(RequestTooLarge):
+            decode_saml_redirect(bomb)
+
+    def test_inflated_size_capped_at_the_limit(self):
+        req = make_authn_request()
+        xml = serialize(req).encode()
+        padded = self._deflated(xml.ljust(MAX_INFLATED_BYTES))
+        assert decode_saml_redirect(padded)[0] == req
+        with pytest.raises(RequestTooLarge):
+            decode_saml_redirect(self._deflated(xml.ljust(MAX_INFLATED_BYTES + 1)))
+
+    def test_truncated_stream_rejected(self):
+        payload = zlib.compress(serialize(make_authn_request()).encode())[2:-4]
+        with pytest.raises(ProtocolError):
+            decode_saml_redirect(
+                {"SAMLRequest": base64.b64encode(payload[: len(payload) // 2]).decode("ascii")}
+            )
 
     @settings(max_examples=100)
     @given(authn_requests())

@@ -8,6 +8,7 @@ import logging
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from urllib.parse import parse_qs, urlparse
@@ -16,6 +17,7 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric import ed25519
 
 import fedbridge.broker as broker_module
+import fedbridge.translate as translate_module
 from fedbridge.broker import (
     Broker,
     CorrelationEntry,
@@ -38,6 +40,7 @@ from fedbridge.config import config_from_dict
 from fedbridge.errors import (
     ExpiredCorrelation,
     LifetimeInvalid,
+    NoSubject,
     NoTrustPath,
     ProtocolError,
     Replay,
@@ -540,11 +543,20 @@ class TestAttributeMapping:
 
 
 class TestRequestPlan:
-    """Routes and keys are resolved when the broker starts, not per request."""
+    """Routes, keys, pseudonym rewrites and mapping tables are resolved when
+    the broker starts, not per request."""
 
     def test_requests_walk_no_trust_graph_and_load_no_key(
-        self, broker, demo_cfg, sts, idp, monkeypatch
+        self, demo_cfg_dict, tmp_path, monkeypatch
     ):
+        demo_cfg_dict["pseudonym"]["modes"] = {SAML_SP: "persistent", WSFED_SP: "transient"}
+        cfg = config_from_dict(demo_cfg_dict, base_dir=tmp_path)
+        broker = Broker(cfg)
+        sts_entity, idp_entity = (cfg.topology.entity(EntityId(e)) for e in (STS, IDP))
+        sts = MockWsfedSts(sts_entity, cfg.private_key_for(sts_entity.id), cfg.mocks.users,
+                           active_subject="alice")
+        idp = MockSamlIdp(idp_entity, cfg.private_key_for(idp_entity.id), cfg.mocks.users,
+                          active_subject="alice")
         calls = {}
 
         def count(owner, name):
@@ -561,18 +573,22 @@ class TestRequestPlan:
         count(TrustTopology, "by_role")
         count(ed25519.Ed25519PrivateKey, "from_private_bytes")
         count(ed25519.Ed25519PublicKey, "from_public_bytes")
+        count(Broker, "_pseudonym_rewrite")
+        count(translate_module._PairTable, "__post_init__")
 
-        run_flow_a(broker, demo_cfg, sts)
-        redirect = broker.handle_wsfed_signin(wsfed_signin_params(demo_cfg))
+        _, _, _, final_post = run_flow_a(broker, cfg, sts)
+        redirect = broker.handle_wsfed_signin(wsfed_signin_params(cfg))
         broker.handle_saml_acs(dict(idp.handle_sso(location_params(redirect)).fields))
-        abandoned = saml_sso_params(demo_cfg)
+        abandoned = saml_sso_params(cfg)
         abandoned.pop("__request_id")
         broker.handle_saml_sso(abandoned)
         assert calls == dict.fromkeys(calls, 0)
+        response, _ = decode_saml_response_post(dict(final_post.fields))
+        assert response.assertion.subject_name_format == PERSISTENT_NAMEID_FORMAT
 
         # The counters see the calls that start-up makes.
-        Broker(demo_cfg)
-        generate_keypair("spare", demo_cfg.broker_id)
+        Broker(config_from_dict(demo_cfg_dict, base_dir=tmp_path))
+        generate_keypair("spare", cfg.broker_id)
         assert all(calls.values()), calls
 
 
@@ -768,55 +784,92 @@ def deliver_on_idp_leg(broker, demo_cfg, assertion):
     return broker.handle_saml_acs(dict(post.fields))
 
 
+@pytest.fixture
+def refused(monkeypatch):
+    """``pytest.raises`` that also requires the broker to have signed nothing
+    on the way to the refusal."""
+    signed = []
+    original = translate_module.sign
+    monkeypatch.setattr(translate_module, "sign",
+                        lambda *args: signed.append(args) or original(*args))
+
+    @contextmanager
+    def refused_with(error):
+        before = len(signed)
+        with pytest.raises(error):
+            yield
+        assert len(signed) == before, "the broker signed before refusing"
+
+    return refused_with
+
+
 class TestRelayChecks:
     """What the final service provider must not accept, the broker refuses to
-    relay: a validly signed assertion from the wrong authority, outside its
-    validity window, or relayed before."""
+    relay, before it signs anything: a validly signed assertion from the wrong
+    authority, one that names no subject, one outside its validity window, or
+    one relayed before."""
 
-    def test_saml_idp_assertion_on_the_sts_leg(self, broker, demo_cfg, idp):
-        with pytest.raises(UntrustedIssuer):
+    def test_saml_idp_assertion_on_the_sts_leg(self, refused, broker, demo_cfg, idp):
+        with refused(UntrustedIssuer):
             deliver_on_sts_leg(broker, demo_cfg, idp.issue_assertion("alice", PASSWORD_CLASS))
 
-    def test_sts_assertion_on_the_idp_leg(self, broker, demo_cfg, sts):
-        with pytest.raises(UntrustedIssuer):
+    def test_sts_assertion_on_the_idp_leg(self, refused, broker, demo_cfg, sts):
+        with refused(UntrustedIssuer):
             deliver_on_idp_leg(broker, demo_cfg, sts.issue_assertion("alice", PASSWORD_CLASS))
 
-    def test_assertion_expired_nine_days_ago(self, broker, demo_cfg, sts):
+    @pytest.mark.parametrize("deliver, mode", [
+        (deliver_on_sts_leg, "none"), (deliver_on_sts_leg, "transient"),
+        (deliver_on_idp_leg, "none"),
+    ], ids=["sts-none", "sts-transient", "idp-none"])
+    def test_assertion_naming_no_subject(
+        self, refused, demo_cfg_dict, tmp_path, sts, idp, deliver, mode
+    ):
+        # Relayed, it names nobody: the SP refuses it, or, under a transient
+        # pseudonym, signs in a fresh random name that stands for no one.
+        demo_cfg_dict["pseudonym"]["modes"] = {SAML_SP: mode, WSFED_SP: mode}
+        cfg = config_from_dict(demo_cfg_dict, base_dir=tmp_path)
+        authority = sts if deliver is deliver_on_sts_leg else idp
+        with refused(NoSubject):
+            deliver(Broker(cfg), cfg, reissued(authority, subject_name=""))
+
+    def test_assertion_expired_nine_days_ago(self, refused, broker, demo_cfg, sts):
         expired = at(time.time() - 9 * 86_400)
         assertion = reissued(
             sts, not_before=expired - timedelta(seconds=360), not_on_or_after=expired
         )
-        with pytest.raises(LifetimeInvalid):
+        with refused(LifetimeInvalid):
             deliver_on_sts_leg(broker, demo_cfg, assertion)
 
-    def test_assertion_not_yet_valid_past_the_skew(self, broker, demo_cfg, idp, clock):
+    def test_assertion_not_yet_valid_past_the_skew(
+        self, refused, broker, demo_cfg, idp, clock
+    ):
         skew = demo_cfg.clock_skew
         assertion = reissued(
             idp, not_before=at(clock.now + skew + 30), not_on_or_after=at(clock.now + skew + 90)
         )
-        with pytest.raises(LifetimeInvalid):
+        with refused(LifetimeInvalid):
             deliver_on_idp_leg(broker, demo_cfg, assertion)
 
-    def test_window_edges_widened_by_the_skew(self, broker, demo_cfg, sts, clock):
+    def test_window_edges_widened_by_the_skew(self, refused, broker, demo_cfg, sts, clock):
         skew = demo_cfg.clock_skew
         deliver_on_sts_leg(broker, demo_cfg, reissued(
             sts, not_before=at(clock.now + skew), not_on_or_after=at(clock.now + skew + 60)))
         deliver_on_sts_leg(broker, demo_cfg, reissued(
             sts, not_before=at(clock.now - 300), not_on_or_after=at(clock.now - skew + 1)))
-        with pytest.raises(LifetimeInvalid):
+        with refused(LifetimeInvalid):
             deliver_on_sts_leg(broker, demo_cfg, reissued(
                 sts, not_before=at(clock.now - 300), not_on_or_after=at(clock.now - skew)))
 
-    def test_lifetime_beyond_the_cap_refused(self, broker, demo_cfg, sts, clock):
+    def test_lifetime_beyond_the_cap_refused(self, refused, broker, demo_cfg, sts, clock):
         horizon = clock.now + broker_module.MAX_ASSERTION_LIFETIME_S + demo_cfg.clock_skew
         deliver_on_sts_leg(broker, demo_cfg, reissued(
             sts, not_before=at(clock.now), not_on_or_after=at(horizon)))
-        with pytest.raises(LifetimeInvalid):
+        with refused(LifetimeInvalid):
             deliver_on_sts_leg(broker, demo_cfg, reissued(
                 sts, not_before=at(clock.now), not_on_or_after=at(horizon + 1)))
 
     def test_captured_sts_assertion_replayed_under_a_fresh_correlation(
-        self, broker, demo_cfg, sts
+        self, refused, broker, demo_cfg, sts
     ):
         # The benchmark's replay step: the RSTR Context lies outside the
         # signature, so the captured wresult is rewritten to the fresh wctx.
@@ -828,19 +881,21 @@ class TestRelayChecks:
         assert old in captured["wresult"]
         forged = {"wa": captured["wa"], "wctx": fresh,
                   "wresult": captured["wresult"].replace(old, f'Context="{fresh}"')}
-        with pytest.raises(Replay):
+        with refused(Replay):
             broker.handle_wsfed_return(forged)
 
-    def test_captured_idp_assertion_replayed_in_a_fresh_response(self, broker, demo_cfg, idp):
+    def test_captured_idp_assertion_replayed_in_a_fresh_response(
+        self, refused, broker, demo_cfg, idp
+    ):
         redirect = broker.handle_wsfed_signin(wsfed_signin_params(demo_cfg))
         post = idp.handle_sso(location_params(redirect))
         broker.handle_saml_acs(dict(post.fields))
         response, _ = decode_saml_response_post(dict(post.fields))
-        with pytest.raises(Replay):
+        with refused(Replay):
             deliver_on_idp_leg(broker, demo_cfg, response.assertion)
 
     def test_replay_refused_while_the_window_admits_the_assertion(
-        self, broker, demo_cfg, sts, clock
+        self, refused, broker, demo_cfg, sts, clock
     ):
         # Valid for the longest lifetime accepted, the assertion passes the
         # window check until NotOnOrAfter + skew; its ID must outlive that.
@@ -851,7 +906,7 @@ class TestRelayChecks:
         )
         deliver_on_sts_leg(broker, demo_cfg, assertion)
         clock.now += lifetime + skew - 1
-        with pytest.raises(Replay):
+        with refused(Replay):
             deliver_on_sts_leg(broker, demo_cfg, assertion)
 
 

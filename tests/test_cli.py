@@ -11,15 +11,24 @@ from urllib.parse import urlparse
 import pytest
 
 from fedbridge.cli import main
+from fedbridge.config import load_config
 from fedbridge.messages import (
     SamlAuthnRequest,
     WstRequestSecurityToken,
     parse,
     serialize,
 )
+from fedbridge.signing import sign
 from fedbridge.translate import SAML2_ASSERTION_TOKEN_TYPE, WST_ISSUE_URI
 
-from support import make_authn_request, make_rst
+from support import (
+    IDP_ID,
+    make_assertion,
+    make_authn_request,
+    make_response,
+    make_rst,
+    make_rstr,
+)
 
 
 @pytest.fixture
@@ -129,6 +138,24 @@ class TestTranslate:
             ["translate", "--from", "saml", "--to", "saml", "--in", str(infile), "--out", str(infile)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("source, wrap", [
+        ("saml", lambda assertion: make_response(assertion=assertion)),
+        ("wsfed", lambda assertion: make_rstr(token=assertion)),
+    ], ids=["saml-response", "rstr"])
+    def test_response_documents_refused(self, tmp_path, demo_config_path, capsys, source, wrap):
+        # Signed with the demo identity provider's own key, the assertion
+        # would verify; but only the broker's return path, with its relay
+        # checks, re-signs an assertion.
+        signing_key = load_config(demo_config_path).private_key_for(IDP_ID)
+        infile, outfile = tmp_path / "response.xml", tmp_path / "out.xml"
+        infile.write_text(serialize(wrap(sign(make_assertion(), signing_key))))
+        target = "wsfed" if source == "saml" else "saml"
+        code = main(["translate", "--from", source, "--to", target, "--in", str(infile),
+                     "--out", str(outfile), "--config", str(demo_config_path)])
+        assert code == 3
+        assert "MalformedXml" in capsys.readouterr().err
+        assert not outfile.exists()
 
     def test_unparseable_input_reports_error(self, tmp_path, capsys):
         infile = tmp_path / "x.xml"

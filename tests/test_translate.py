@@ -2,8 +2,9 @@
 
 The two wire constants every issue request must carry, the subject-name
 claim mapping and its inverse, the context-class table with its
-pass-through and error paths, and the verify / rename / re-sign pipeline
-for responses in both directions.
+pass-through and error paths, the issuer check the broker runs before it
+translates a response, and the rename / re-sign pipeline for responses in
+both directions.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from fedbridge.translate import (
     rst_to_authn_request,
     rstr_to_saml_response,
     saml_response_to_rstr,
+    verify_issuer,
 )
 
 from support import (
@@ -230,13 +232,10 @@ class TestResponseConversion:
     def test_rstr_to_saml_response_resigns_without_touching_content(
         self, idp_pair, broker_pair
     ):
-        _, idp_public = idp_pair
-        broker_private, broker_public = broker_pair
+        broker_private, _ = broker_pair
         rstr, original = self._signed_rstr(idp_pair)
 
-        response = rstr_to_saml_response(
-            rstr, KeyStore([idp_public]), broker_private, "_req9", AttributeNameMapping()
-        )
+        response = rstr_to_saml_response(rstr, broker_private, "_req9", AttributeNameMapping())
 
         assert response.status is SamlStatus.SUCCESS
         assert response.in_response_to == "_req9"
@@ -244,59 +243,42 @@ class TestResponseConversion:
         assert response.assertion.signature.key_id == "broker-signing"
         assert canonical_bytes(response.assertion) == canonical_bytes(original)
 
-    def test_tampered_token_rejected(self, idp_pair, broker_pair):
+    def test_tampered_token_rejected(self, idp_pair):
         _, idp_public = idp_pair
-        broker_private, _ = broker_pair
-        rstr, _ = self._signed_rstr(idp_pair)
-        tampered = replace(
-            rstr, requested_token=replace(rstr.requested_token, subject_name="mallory")
-        )
+        _, original = self._signed_rstr(idp_pair)
+        tampered = replace(original, subject_name="mallory")
         from fedbridge.errors import SignatureInvalid
 
         with pytest.raises(SignatureInvalid):
-            rstr_to_saml_response(
-                tampered, KeyStore([idp_public]), broker_private, "_r", AttributeNameMapping()
-            )
+            verify_issuer(tampered, KeyStore([idp_public]))
 
-    def test_token_missing(self, idp_pair, broker_pair):
-        _, idp_public = idp_pair
+    def test_token_missing(self, broker_pair):
         broker_private, _ = broker_pair
         rstr = make_rstr(token=None, lifetime=None)
         with pytest.raises(TokenMissing):
-            rstr_to_saml_response(
-                rstr, KeyStore([idp_public]), broker_private, "_r", AttributeNameMapping()
-            )
+            rstr_to_saml_response(rstr, broker_private, "_r", AttributeNameMapping())
 
     def test_unknown_signer_is_untrusted(self, idp_pair, broker_pair):
-        broker_private, broker_public = broker_pair
-        rstr, _ = self._signed_rstr(idp_pair)
+        _, broker_public = broker_pair
+        _, original = self._signed_rstr(idp_pair)
         with pytest.raises(UntrustedIssuer):
-            rstr_to_saml_response(
-                rstr, KeyStore([broker_public]), broker_private, "_r", AttributeNameMapping()
-            )
+            verify_issuer(original, KeyStore([broker_public]))
 
-    def test_issuer_key_owner_mismatch_is_untrusted(self, idp_pair, broker_pair):
-        _, idp_public = idp_pair
-        broker_private, _ = broker_pair
-        private, _ = idp_pair
+    def test_issuer_key_owner_mismatch_is_untrusted(self, idp_pair):
+        private, idp_public = idp_pair
         imposter = sign(
             make_assertion(issuer=BROKER_ID), private
         )  # signed by idp key but claiming broker as issuer
-        rstr = make_rstr(token=imposter)
         with pytest.raises(UntrustedIssuer):
-            rstr_to_saml_response(
-                rstr, KeyStore([idp_public]), broker_private, "_r", AttributeNameMapping()
-            )
+            verify_issuer(imposter, KeyStore([idp_public]))
 
     def test_saml_response_to_rstr(self, idp_pair, broker_pair):
-        idp_private, idp_public = idp_pair
-        broker_private, broker_public = broker_pair
+        idp_private, _ = idp_pair
+        broker_private, _ = broker_pair
         assertion = sign(make_assertion(), idp_private)
         response = make_response(assertion=assertion)
 
-        rstr = saml_response_to_rstr(
-            response, KeyStore([idp_public]), broker_private, "ctx-5", AttributeNameMapping()
-        )
+        rstr = saml_response_to_rstr(response, broker_private, "ctx-5", AttributeNameMapping())
 
         assert rstr.token_type == "urn:oasis:names:tc:SAML:2.0:assertion"
         assert rstr.context == "ctx-5"
@@ -304,14 +286,11 @@ class TestResponseConversion:
         assert canonical_bytes(rstr.requested_token) == canonical_bytes(assertion)
         assert rstr.requested_token.signature.key_id == "broker-signing"
 
-    def test_non_success_status_rejected(self, idp_pair, broker_pair):
-        _, idp_public = idp_pair
+    def test_non_success_status_rejected(self, broker_pair):
         broker_private, _ = broker_pair
         response = make_response(status=SamlStatus.REQUESTER, assertion=None)
         with pytest.raises(NonSuccessStatus):
-            saml_response_to_rstr(
-                response, KeyStore([idp_public]), broker_private, "ctx", AttributeNameMapping()
-            )
+            saml_response_to_rstr(response, broker_private, "ctx", AttributeNameMapping())
 
 
 class TestAttributeNameMapping:
@@ -336,17 +315,13 @@ class TestAttributeNameMapping:
         assert back == attrs
 
     def test_mapping_applied_during_relay(self, idp_pair, broker_pair):
-        idp_private, idp_public = idp_pair
+        idp_private, _ = idp_pair
         broker_private, _ = broker_pair
         assertion = sign(
             make_assertion(attributes=(("http://schemas.example.test/claims/email", "a@b"),)),
             idp_private,
         )
         response = rstr_to_saml_response(
-            make_rstr(token=assertion),
-            KeyStore([idp_public]),
-            broker_private,
-            "_r",
-            self.ATTR_MAP,
+            make_rstr(token=assertion), broker_private, "_r", self.ATTR_MAP
         )
         assert response.assertion.attributes == (("urn:example:attr:mail", "a@b"),)

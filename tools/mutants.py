@@ -5,15 +5,18 @@
 The checks are read from ``src/fedbridge/broker.py``: in ``Broker._open``,
 ``_close``, ``_registered_sp``, ``check_relayable`` and the four
 ``handle_*`` methods, every ``if ...: raise`` (one mutant per operand of an
-``or``), every ``except`` that turns an error into a refusal, and every call
-made only for the error it may raise (the two replay guards). Each mutant makes its check never fire, in
-a temporary copy of ``src/`` and ``tests/``, and runs tier-1 there without
-C11 (fifty sign-ons over HTTP) and without ``tests/test_perfbench_output.py``
-(it runs the benchmark). The suite failing means the mutant is KILLED; the
-suite passing means SURVIVED: no test pins that check. The unmutated copy
-runs first and must pass. The exit status is 0 when every mutant is killed.
-Standard library only. Each mutant costs one such tier-1 run, which stops at
-the first failure: 15 mutants took 74 s on a 2-vCPU VM.
+``or``; the subject check is one), every ``except`` that turns an error into
+a refusal, and every call made only for the error it may raise: the two
+replay guards, the ``verify_issuer`` call in ``check_relayable``, and the
+two ``check_relayable`` call sites in the return handlers. Each mutant makes
+its check never fire, in a temporary copy of ``src/`` and ``tests/``, and
+runs tier-1 there without C11 (fifty sign-ons over HTTP) and without
+``tests/test_perfbench_output.py`` (it runs the benchmark). The suite
+failing means the mutant is KILLED; the suite passing means SURVIVED: no
+test pins that check. The unmutated copy runs first and must pass. The exit
+status is 0 when every mutant is killed. Standard library only. Each mutant
+costs one such tier-1 run, which stops at the first failure: 18 mutants
+took 72 s on a 2-vCPU VM.
 """
 
 from __future__ import annotations
