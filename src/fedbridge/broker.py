@@ -28,10 +28,17 @@ rebuilds a key or builds a closure.
 
 The correlation store (entries consumed at most once, atomically), the
 seen-request-id set and the set of relayed assertion IDs drop expired
-entries as new ones arrive, so each stays bounded by request rate x TTL,
-abandoned flows included. Persistent pseudonyms are derived afresh on every
-sign-on; the broker keeps the set of those it has issued, and no subject
-name. No credential passes the broker.
+entries as new ones arrive, so each holds what arrived within its TTL,
+abandoned flows included, and never more than ``MAX_LIVE_ENTRIES``. An
+abandoned flow-A attempt keeps about 500 bytes across the correlation store
+and the request-id set: the entry shares the provider's registered consumer
+URL and one clock reading with its replay record. A full correlation store
+evicts its oldest entry, whose flow then fails closed at its return leg
+(``UnknownCorrelation``); a full replay set evicts nothing, since that would
+reopen a replay window, and refuses each new ID with ``Overloaded`` (503)
+while a live one is still a ``Replay``. Persistent pseudonyms are derived
+afresh on every sign-on; the broker keeps the set of those it has issued,
+and no subject name. No credential passes the broker.
 """
 
 from __future__ import annotations
@@ -65,6 +72,7 @@ from .errors import (
     LifetimeInvalid,
     NoSubject,
     NoTrustPath,
+    Overloaded,
     ProtocolError,
     Replay,
     UnknownCorrelation,
@@ -112,8 +120,17 @@ TRANSIENT_NAMEID_FORMAT = "urn:oasis:names:tc:SAML:2.0:nameid-format:transient"
 # of an assertion it relayed.
 MAX_ASSERTION_LIFETIME_S = 300
 
+# The most live entries each expiring map holds. An abandoned flow-A attempt
+# keeps ~370 B in the correlation store and ~130 B in the request-id set, and
+# a relayed assertion ~320 B in the relayed-ID set (tracemalloc, CPython
+# 3.11): full, the three maps hold 2**20 x ~820 B, about 0.85 GB. At the
+# default 300 s TTLs the cap binds only past ~3,500 new flows per second
+# (2**20 / 300 s); at the longest TTL a config may set (config.MAX_TTL_S),
+# past ~290 per second.
+MAX_LIVE_ENTRIES = 1 << 20
 
-@dataclass
+
+@dataclass(slots=True)
 class CorrelationEntry:
     """State tying the broker's outbound leg back to the originating one.
 
@@ -144,7 +161,8 @@ class _ExpiringMap:
     also expiry order: a sweep pops expired entries off the front and stops
     at the first live one. Insert, pop and sweep are O(1) amortised, no
     entry is dropped before its own TTL has passed, and the map holds what
-    arrived within the last TTL. Only a wall clock stepping back leaves an
+    arrived within the last TTL, up to ``MAX_LIVE_ENTRIES``; each subclass
+    decides what a full map does. Only a wall clock stepping back leaves an
     expired entry behind a live one, until the live one expires.
     """
 
@@ -166,9 +184,17 @@ class _ExpiringMap:
 
 
 class CorrelationStore(_ExpiringMap):
-    """Consume-once TTL store; concurrent duplicate consumes get exactly one hit."""
+    """Consume-once TTL store; concurrent duplicate consumes get exactly one hit.
+
+    A full store evicts its oldest entry, the first to expire anyway, and
+    counts it in ``evicted``: that flow only fails closed at its return leg.
+    """
 
     _entries: OrderedDict[str, CorrelationEntry]
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.evicted = 0
 
     def _expired(self, entry: CorrelationEntry, now: float) -> bool:
         return now - entry.created > entry.ttl
@@ -176,6 +202,9 @@ class CorrelationStore(_ExpiringMap):
     def put(self, entry: CorrelationEntry) -> None:
         with self._lock:
             self._sweep(time.time())
+            if len(self._entries) >= MAX_LIVE_ENTRIES:
+                self._entries.popitem(last=False)
+                self.evicted += 1
             self._entries[entry.correlation_id] = entry
 
     def consume(self, correlation_id: str) -> CorrelationEntry:
@@ -191,7 +220,12 @@ class CorrelationStore(_ExpiringMap):
 
 class SeenRequestIds(_ExpiringMap):
     """Replay guard: an ID, of a request or of an assertion, may be presented
-    once per TTL window by one issuer."""
+    once per TTL window by one issuer.
+
+    A full guard evicts nothing, since forgetting a live ID would reopen its
+    replay window: it refuses each new ID with ``Overloaded`` until the
+    oldest expire, and a live ID presented again is still a ``Replay``.
+    """
 
     _entries: OrderedDict[tuple[str, str], float]
 
@@ -202,7 +236,8 @@ class SeenRequestIds(_ExpiringMap):
     def _expired(self, seen_at: float, now: float) -> bool:
         return now - seen_at > self._ttl
 
-    def observe(self, issuer: EntityId, request_id: str) -> None:
+    def observe(self, issuer: EntityId, request_id: str) -> float:
+        """Record the ID and return the instant it was recorded at."""
         key = (issuer.value, request_id)
         with self._lock:
             now = time.time()
@@ -210,7 +245,10 @@ class SeenRequestIds(_ExpiringMap):
             seen_at = self._entries.get(key)
             if seen_at is not None and not self._expired(seen_at, now):
                 raise Replay(f"id {request_id} already seen from {issuer}")
+            if len(self._entries) >= MAX_LIVE_ENTRIES:
+                raise Overloaded(f"{MAX_LIVE_ENTRIES} live ids; {request_id} refused")
             self._entries[key] = now
+        return now
 
 
 @dataclass(frozen=True)
@@ -222,7 +260,9 @@ class RequestPlan:
     WS-Federation provider that replies at each address, nor the keys each
     identity provider owns. A lookup that finds nothing still fails the
     request: ``NoTrustPath`` for a provider the broker does not bridge,
-    ``UnknownIssuer`` for an unknown address.
+    ``UnknownIssuer`` for an unknown address. An identity provider the
+    broker bridges must list a key, or every one of its flows would fail
+    closed; the broker refuses to start without one.
     """
 
     bridged_ips: Mapping[EntityId, FederationEntity | None]
@@ -236,19 +276,21 @@ class RequestPlan:
         sps = topology.by_role(Role.SERVICE_PROVIDER)
         bridged_ips: dict[EntityId, FederationEntity | None] = {}
         reply_to: dict[str, FederationEntity] = {}
+        authority_keys: dict[EntityId, KeyStore] = {}
         for sp in sps:
-            bridged_ips[sp.id] = next(
+            ip = bridged_ips[sp.id] = next(
                 (ip for ip in idps if ip.dialect is not sp.dialect
                  and _bridges(topology, broker_id, sp, ip)),
                 None,
             )
-            address = sp.endpoints.get("return")
-            if sp.dialect is Dialect.WSFED11B and address is not None:
+            if ip is not None and ip.id not in authority_keys:
+                if not ip.keys:
+                    raise ValueError(f"entities: {ip.id} is bridged by {broker_id} "
+                                     f"but lists no keys")
+                authority_keys[ip.id] = KeyStore([config.public_keys[k] for k in ip.keys])
+            if sp.dialect is Dialect.WSFED11B:
                 # Providers sharing an address: the first by entity ID wins.
-                reply_to.setdefault(address, sp)
-        authority_keys = {
-            ip.id: KeyStore([config.public_keys[key_id] for key_id in ip.keys]) for ip in idps
-        }
+                reply_to.setdefault(sp.endpoints["return"], sp)
         return cls(MappingProxyType(bridged_ips), MappingProxyType(reply_to),
                    MappingProxyType(authority_keys))
 
@@ -342,13 +384,16 @@ class Broker:
         origin_relay: str, outbound_request_id: str = "",
     ) -> tuple[CorrelationEntry, FederationEntity]:
         """Inbound leg: refuse a replayed origin request, find the bridged
-        authority, and draw the correlation the outbound leg carries."""
-        if original_request_id:  # an RST need not carry a Context: no ID, nothing to guard
-            self.seen_ids.observe(sp.id, original_request_id)
+        authority, and draw the correlation the outbound leg carries. The
+        entry shares the instant the replay guard recorded."""
+        if original_request_id:
+            created = self.seen_ids.observe(sp.id, original_request_id)
+        else:  # an RST need not carry a Context: no ID, nothing to guard
+            created = time.time()
         ip = self.plan.bridged_ip(sp)
         entry = CorrelationEntry(
             secrets.token_urlsafe(24), original_request_id, sp.id, sp.dialect, acs_or_return_url,
-            time.time(), self.config.correlation_ttl, origin_relay, outbound_request_id, ip.id,
+            created, self.config.correlation_ttl, origin_relay, outbound_request_id, ip.id,
         )
         return entry, ip
 
@@ -414,13 +459,12 @@ class Broker:
         """SAML authentication request in, WS-Federation sign-in redirect out."""
         req, relay_state = decode_saml_redirect(params)
         sp = self._registered_sp(req.issuer, Dialect.SAML2)
-        registered_acs = sp.endpoints.get("acs", "")
-        if req.acs_url and registered_acs and req.acs_url != registered_acs:
+        acs_url = sp.endpoints["acs"]  # every SAML provider has one, enforced at load
+        if req.acs_url and req.acs_url != acs_url:
             raise ProtocolError(f"request ACS {req.acs_url} differs from registered endpoint")
-        acs_url = req.acs_url or registered_acs
-        if not acs_url:
-            raise ProtocolError(f"{sp.id} has no assertion consumer endpoint")
 
+        # The correlation keeps the registered URL, shared by every flow of
+        # the provider, not the request's equal copy.
         entry, ip = self._open(sp, req.id, acs_url, relay_state)
         # The token must come back through this broker, not go straight to
         # the origin provider; its consumer URL lives in the correlation entry.
@@ -455,8 +499,9 @@ class Broker:
     def handle_wsfed_signin(self, params: dict[str, str]) -> RedirectMessage:
         """WS-Trust issue request in, SAML authentication redirect out."""
         rst, wctx = decode_wsfed_signin(params)
-        sp = self.plan.wsfed_sp(rst.reply_to)
-        entry, ip = self._open(sp, rst.context, rst.reply_to, wctx, outbound_request_id=fresh_id())
+        sp = self.plan.wsfed_sp(rst.reply_to)  # found by this very address
+        entry, ip = self._open(sp, rst.context, sp.endpoints["return"], wctx,
+                               outbound_request_id=fresh_id())
         sso = ip.endpoint("sso")
         saml_req = rst_to_authn_request(
             rst, self.config.ctx_map, issuer=self.broker_id,

@@ -27,6 +27,16 @@ DEFAULT_CORRELATION_TTL = 300.0
 DEFAULT_REPLAY_TTL = 300.0
 DEFAULT_CLOCK_SKEW = 60.0
 
+# The longest a TTL may be. The broker's expiring maps hold what arrived
+# within their TTL, up to a fixed cap, so the TTL sets the request rate the
+# cap serves; an hour is far longer than a passive sign-on takes.
+MAX_TTL_S = 3600.0
+# The most clock skew tolerated. The skew widens every assertion's validity
+# window and lengthens how long the broker remembers a relayed assertion ID
+# (MAX_ASSERTION_LIFETIME_S + 2 x skew); past a few minutes it no longer
+# covers drifting clocks but admits assertions long expired.
+MAX_CLOCK_SKEW_S = 300.0
+
 PSEUDONYM_MODES = ("none", "persistent", "transient")
 
 
@@ -146,6 +156,17 @@ def config_from_dict(data: dict[str, Any], base_dir: str | Path = ".") -> Broker
     )
 
     ttl_section = data.get("ttl", {})
+    ttls = {name: float(ttl_section.get(name, default)) for name, default in (
+        ("correlation_seconds", DEFAULT_CORRELATION_TTL),
+        ("replay_seconds", DEFAULT_REPLAY_TTL),
+        ("clock_skew_seconds", DEFAULT_CLOCK_SKEW),
+    )}
+    for name in ("correlation_seconds", "replay_seconds"):
+        if not 0 < ttls[name] <= MAX_TTL_S:
+            raise ValueError(f"ttl.{name} must lie in (0, {MAX_TTL_S:g}] s, not {ttls[name]:g}")
+    if not 0 <= ttls["clock_skew_seconds"] <= MAX_CLOCK_SKEW_S:
+        raise ValueError(f"ttl.clock_skew_seconds must lie in [0, {MAX_CLOCK_SKEW_S:g}] s, "
+                         f"not {ttls['clock_skew_seconds']:g}")
 
     pseudonym_section = data.get("pseudonym", {})
     pseudonym_secret = None
@@ -157,6 +178,9 @@ def config_from_dict(data: dict[str, Any], base_dir: str | Path = ".") -> Broker
             raise ValueError(f"unknown pseudonym mode {mode!r} for {sp_id}")
         if mode != "none" and pseudonym_secret is None:
             raise ValueError("pseudonym modes require a master_secret_file")
+        sp = owners.get(sp_id)
+        if sp is None or sp.role is not Role.SERVICE_PROVIDER:
+            raise ValueError(f"pseudonym.modes names {sp_id}, not a registered service provider")
 
     mocks_section = data.get("mocks", {})
     mocks = MocksConfig(
@@ -182,9 +206,9 @@ def config_from_dict(data: dict[str, Any], base_dir: str | Path = ".") -> Broker
         attr_map=attr_map,
         public_keys=public_keys,
         private_keys=private_keys,
-        correlation_ttl=float(ttl_section.get("correlation_seconds", DEFAULT_CORRELATION_TTL)),
-        replay_ttl=float(ttl_section.get("replay_seconds", DEFAULT_REPLAY_TTL)),
-        clock_skew=float(ttl_section.get("clock_skew_seconds", DEFAULT_CLOCK_SKEW)),
+        correlation_ttl=ttls["correlation_seconds"],
+        replay_ttl=ttls["replay_seconds"],
+        clock_skew=ttls["clock_skew_seconds"],
         pseudonym_secret=pseudonym_secret,
         pseudonym_modes=pseudonym_modes,
         mocks=mocks,
@@ -195,4 +219,16 @@ def config_from_dict(data: dict[str, Any], base_dir: str | Path = ".") -> Broker
         raise ValueError(f"{broker_id} is not declared with the broker role")
     for kind in ("saml_sso", "saml_acs", "wsfed_signin", "wsfed_return"):
         broker_entity.endpoint(kind)
+    for entity in entities:
+        for key_id in entity.keys:
+            if key_id not in public_keys:
+                raise ValueError(f"entities: {entity.id} lists key {key_id!r}, which keys lacks")
+            if public_keys[key_id].owner != entity.id:
+                raise ValueError(f"entities: {entity.id} lists key {key_id!r}, "
+                                 f"owned by {public_keys[key_id].owner}")
+        if entity.role is Role.SERVICE_PROVIDER:
+            kind = "acs" if entity.dialect is Dialect.SAML2 else "return"
+            if kind not in entity.endpoints:
+                raise ValueError(f"entities: service provider {entity.id} has no "
+                                 f"{kind!r} endpoint")
     return config

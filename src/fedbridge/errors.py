@@ -127,6 +127,13 @@ class NoSubject(FedBridgeError):
     code = "NoSubject"
 
 
+class Overloaded(FedBridgeError):
+    """A replay guard is full: the request may succeed once older IDs expire."""
+
+    code = "Overloaded"
+    http_status = 503
+
+
 # --- harness ----------------------------------------------------------------------
 
 class ScenarioSetupError(FedBridgeError):

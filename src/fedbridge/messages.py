@@ -762,6 +762,8 @@ def parse(xml: str, expected_kind: type[TDoc]) -> TDoc:
         root = ET.fromstring(xml)
     except ET.ParseError as exc:
         raise MalformedXml(str(exc)) from None
+    except UnicodeEncodeError:  # a lone surrogate: text no XML document can hold
+        raise MalformedXml("text is not encodable as UTF-8") from None
 
     root_ns, root_local = _split_tag(root.tag)
     if root_ns != ns:

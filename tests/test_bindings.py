@@ -192,6 +192,14 @@ class TestSamlResponsePost:
         decoded, _ = decode_saml_response_post(dict(message.fields))
         assert decoded.status is SamlStatus.REQUESTER
 
+    @pytest.mark.parametrize("raw", [
+        "@@not-base64@@",
+        base64.b64encode(b"\xff\xfe<samlp:Response/>").decode("ascii"),  # not UTF-8
+    ], ids=["bad_base64", "not_utf8"])
+    def test_undecodable_response_refused(self, raw):
+        with pytest.raises(ProtocolError, match="SAMLResponse is not base64"):
+            decode_saml_response_post({"SAMLResponse": raw})
+
     @settings(max_examples=100)
     @given(responses())
     def test_encode_decode_inverse(self, resp):

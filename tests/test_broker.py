@@ -42,6 +42,7 @@ from fedbridge.errors import (
     LifetimeInvalid,
     NoSubject,
     NoTrustPath,
+    Overloaded,
     ProtocolError,
     Replay,
     SignatureInvalid,
@@ -201,14 +202,17 @@ class TestFlowA:
         with pytest.raises(ProtocolError):
             broker.handle_saml_sso(params)
 
-    def test_no_acs_url_anywhere_rejected(self, demo_cfg, demo_cfg_dict, tmp_path):
+    def test_no_acs_url_anywhere_rejected(self, demo_cfg_dict, tmp_path):
+        # A SAML provider with no registered consumer endpoint is refused at
+        # load, so no request can reach the broker without one.
         entity = next(e for e in demo_cfg_dict["entities"] if e["id"] == SAML_SP)
         entity["endpoints"].pop("acs")
-        broker = Broker(config_from_dict(demo_cfg_dict, base_dir=tmp_path))
-        params = saml_sso_params(demo_cfg, acs_url="")
-        params.pop("__request_id")
-        with pytest.raises(ProtocolError):
-            broker.handle_saml_sso(params)
+        with pytest.raises(ValueError, match=f"{SAML_SP} has no 'acs' endpoint"):
+            config_from_dict(demo_cfg_dict, base_dir=tmp_path)
+
+    def test_request_without_acs_url_goes_to_the_registered_one(self, broker, demo_cfg, sts):
+        _, _, _, final_post = run_flow_a(broker, demo_cfg, sts, acs_url="")
+        assert final_post.target == demo_cfg.topology.entity(EntityId(SAML_SP)).endpoint("acs")
 
     def test_no_trust_path_without_broker_link(self, demo_cfg_dict, tmp_path):
         demo_cfg_dict["links"] = [
@@ -908,6 +912,83 @@ class TestRelayChecks:
         clock.now += lifetime + skew - 1
         with refused(Replay):
             deliver_on_sts_leg(broker, demo_cfg, assertion)
+
+
+@pytest.fixture
+def cap(monkeypatch) -> int:
+    monkeypatch.setattr(broker_module, "MAX_LIVE_ENTRIES", 4)
+    return 4
+
+
+class TestFullMaps:
+    """No expiring map holds more than MAX_LIVE_ENTRIES. A full correlation
+    store evicts its oldest flow, which then fails closed; a full replay
+    guard forgets no live ID and refuses new ones instead."""
+
+    def test_full_store_evicts_the_oldest_correlation(self, cap, clock):
+        store = CorrelationStore()
+        for n in range(cap + 2):
+            store.put(correlation(f"c{n}", created=clock.now))
+            clock.now += 1.0
+        assert len(store) == cap
+        assert store.evicted == 2
+        for evicted in ("c0", "c1"):
+            with pytest.raises(UnknownCorrelation):
+                store.consume(evicted)
+        assert store.consume("c2").correlation_id == "c2"
+
+    def test_full_guard_refuses_a_new_id_while_a_live_one_is_a_replay(self, cap, clock):
+        guard = SeenRequestIds(ttl=10.0)
+        for n in range(cap):
+            guard.observe(EntityId(SAML_SP), f"_r{n}")
+        with pytest.raises(Overloaded) as refusal:
+            guard.observe(EntityId(SAML_SP), "_new")
+        assert refusal.value.http_status == 503
+        with pytest.raises(Replay):
+            guard.observe(EntityId(SAML_SP), "_r0")
+        assert len(guard) == cap
+
+    def test_full_guard_accepts_new_ids_once_the_ttl_passes(self, cap, clock):
+        guard = SeenRequestIds(ttl=10.0)
+        for n in range(cap):
+            guard.observe(EntityId(SAML_SP), f"_r{n}")
+        clock.now += 10.0
+        with pytest.raises(Overloaded):
+            guard.observe(EntityId(SAML_SP), "_new")
+        clock.now += 0.5
+        assert guard.observe(EntityId(SAML_SP), "_new") == clock.now
+        assert len(guard) == 1
+
+    def test_full_relayed_id_set_refuses_before_signing(self, cap, refused, broker, demo_cfg, sts):
+        for n in range(cap):
+            broker.seen_assertions.observe(EntityId(STS), f"_relayed{n}")
+        with refused(Overloaded):
+            deliver_on_sts_leg(broker, demo_cfg, sts.issue_assertion("alice", PASSWORD_CLASS))
+
+    def test_flood_of_abandoned_flows_stays_within_the_cap(self, cap, broker, demo_cfg, sts):
+        params = saml_sso_params(demo_cfg)
+        params.pop("__request_id")
+        first = location_params(broker.handle_saml_sso(params))
+        overloaded = 0
+        for n in range(10 * cap):
+            try:
+                if n % 2:  # no Context: a correlation, but no request ID to guard
+                    broker.handle_wsfed_signin(wsfed_signin_params(demo_cfg, context=""))
+                else:
+                    params = saml_sso_params(demo_cfg)
+                    params.pop("__request_id")
+                    broker.handle_saml_sso(params)
+            except Overloaded:
+                overloaded += 1
+        assert max(len(broker.correlations), len(broker.seen_ids),
+                   len(broker.seen_assertions)) <= cap
+        # The guard had room for cap - 1 of the 5 * cap flow-A attempts; the
+        # store kept cap flow-A and 5 * cap flow-B correlations, cap of them live.
+        assert overloaded == 5 * cap - (cap - 1)
+        assert broker.correlations.evicted == 5 * cap
+        # The first flow's correlation went first: its return leg fails closed.
+        with pytest.raises(UnknownCorrelation):
+            broker.handle_wsfed_return(dict(sts.handle_signin(first).fields))
 
 
 class TestStructuredLog:

@@ -137,6 +137,15 @@ class TestParse:
         with pytest.raises(WrongNamespace):
             parse(serialize(make_rst()), SamlAuthnRequest)
 
+    def test_lone_surrogate_is_malformed(self):
+        xml = serialize(make_authn_request()).replace("</saml:Issuer>", "\ud800</saml:Issuer>")
+        with pytest.raises(MalformedXml, match="not encodable"):
+            parse(xml, SamlAuthnRequest)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(TypeError, match="not a protocol document kind"):
+            parse(serialize(make_authn_request()), str)
+
     def test_same_namespace_wrong_element(self):
         with pytest.raises(MalformedXml) as err:
             parse(serialize(make_response()), SamlAuthnRequest)

@@ -6,6 +6,8 @@ from dataclasses import replace
 from datetime import timedelta
 
 import pytest
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import x25519
 
 from fedbridge.errors import (
     MissingSignature,
@@ -108,6 +110,20 @@ class TestKeyHandling:
         save_key_pem(public, tmp_path / "k.pub.pem")
         assert load_key_pem(tmp_path / "k.key.pem", "idp-signing", IDP_ID, KeyRole.SIGNING_PRIVATE) == private
         assert load_key_pem(tmp_path / "k.pub.pem", "idp-signing", IDP_ID, KeyRole.VERIFYING_PUBLIC) == public
+
+    @pytest.mark.parametrize("role, pem, message", [
+        (KeyRole.SIGNING_PRIVATE, lambda k: k.private_bytes(
+            serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8,
+            serialization.NoEncryption()), "not an ed25519 private key"),
+        (KeyRole.VERIFYING_PUBLIC, lambda k: k.public_key().public_bytes(
+            serialization.Encoding.PEM, serialization.PublicFormat.SubjectPublicKeyInfo),
+         "not an ed25519 public key"),
+    ], ids=["private", "public"])
+    def test_pem_of_another_key_type_rejected(self, tmp_path, role, pem, message):
+        path = tmp_path / "x25519.pem"
+        path.write_bytes(pem(x25519.X25519PrivateKey.generate()))
+        with pytest.raises(WrongKeyRole, match=message):
+            load_key_pem(path, "idp-signing", IDP_ID, role)
 
     def test_store_rejects_private_records(self, idp_pair):
         private, _ = idp_pair
