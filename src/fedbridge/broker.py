@@ -451,7 +451,9 @@ class Broker:
             raise LifetimeInvalid(
                 f"assertion {assertion.id} stays valid longer than {MAX_ASSERTION_LIFETIME_S} s"
             )
-        self.seen_assertions.observe(assertion.issuer, assertion.id)
+        # verify_issuer has just proven the assertion's issuer to be the
+        # flow's, whose shared ID spares each record a parsed copy of it.
+        self.seen_assertions.observe(entry.expected_issuer, assertion.id)
 
     # -- flow A: SAML SP -> broker -> WS-Fed IP --------------------------------
 

@@ -5,7 +5,10 @@ service sharing the broker's message/binding code but none of its state.
 Authorities keep a user table and a session set and record every
 authentication event; providers keep their outstanding requests and record
 every security context they establish, so scenario verdicts can inspect
-exactly what crossed the wire.
+exactly what crossed the wire. Both providers check what the broker relays
+on one path, apart from the broker's own checks: decode, consume the
+outstanding request, check the status or token, then ``accept``. Each
+refusal is a raised ``FedBridgeError``; its code goes out in ``X-Outcome``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .bindings import (
     encode_wsfed_signin,
     encode_wsfed_signin_response_post,
 )
-from .errors import FedBridgeError, TokenMissing, UnknownSubject
+from .errors import FedBridgeError, LifetimeInvalid, NoSubject, TokenMissing, UnknownSubject
 from .httpd import (
     HttpRequest,
     HttpResponse,
@@ -60,6 +63,14 @@ from .trust import FederationEntity
 UNSPECIFIED_NAMEID_FORMAT = "urn:oasis:names:tc:SAML:1.1:nameid-format:unspecified"
 PASSWORD_CONTEXT_CLASS = "urn:oasis:names:tc:SAML:2.0:ac:classes:Password"
 ASSERTION_LIFETIME_SECONDS = 300
+
+
+class Refused(FedBridgeError):
+    """A refusal only the mock providers make, such as ``UnknownRequest``."""
+
+    def __init__(self, code: str):
+        super().__init__()
+        self.code = code
 
 
 @dataclass
@@ -96,13 +107,17 @@ class MockAuthority:
         self._sessions: set[str] = set(self.users) if has_session else set()
         self._lock = threading.Lock()
 
-    def ensure_authenticated(self, subject: str, force: bool) -> None:
-        """Prompt (i.e. record an authentication event) unless a session
-        exists and the request does not force freshness."""
+    def authenticate(self, force: bool) -> str:
+        """The active subject, prompted (an authentication event recorded)
+        unless a session exists and the request does not force freshness."""
+        subject = self.active_subject
+        if subject not in self.users:
+            raise UnknownSubject(str(subject))
         with self._lock:
             if force or subject not in self._sessions:
                 self.auth_events.append(subject)
                 self._sessions.add(subject)
+        return subject
 
     def issue_assertion(
         self,
@@ -141,10 +156,7 @@ class MockWsfedSts(MockAuthority):
 
     def handle_signin(self, params: dict[str, str]) -> PostMessage:
         rst, wctx = decode_wsfed_signin(params)
-        subject = self.active_subject
-        if subject is None or subject not in self.users:
-            raise UnknownSubject(str(subject))
-        self.ensure_authenticated(subject, rst.force_authn)
+        subject = self.authenticate(rst.force_authn)
 
         name_format = (
             claims_to_name_id_policy(rst.claims_dialect, rst.claim_types)
@@ -176,10 +188,7 @@ class MockSamlIdp(MockAuthority):
 
     def handle_sso(self, params: dict[str, str]) -> PostMessage:
         req, relay_state = decode_saml_redirect(params)
-        subject = self.active_subject
-        if subject is None or subject not in self.users:
-            raise UnknownSubject(str(subject))
-        self.ensure_authenticated(subject, req.force_authn)
+        subject = self.authenticate(req.force_authn)
 
         assertion = self.issue_assertion(
             subject,
@@ -205,6 +214,8 @@ class MockSamlIdp(MockAuthority):
 
 
 class _MockSpBase:
+    _mismatch = ""  # the code of a relay token other than the outstanding one
+
     def __init__(
         self,
         entity: FederationEntity,
@@ -232,7 +243,42 @@ class _MockSpBase:
         parsed = urlparse(consumer)
         return f"{parsed.scheme}://{parsed.netloc}/login"
 
-    def _fail(self, code: str, correlation: str = "") -> HttpResponse:
+    def _consume(self, key: str, relay: str) -> None:
+        """Spend the outstanding request ``key``; its relay token must be ``relay``."""
+        with self._lock:
+            expected = self._outstanding.pop(key, None)
+        if expected is None:
+            raise Refused("UnknownRequest")
+        if relay != expected:
+            raise Refused(self._mismatch)
+
+    def accept(self, assertion: SamlAssertion, correlation: str) -> SecurityContext:
+        """Establish and record a security context, or raise the refusal.
+
+        Checked in order: the signature under the trusted keys, a subject
+        name, and ``not_before - skew <= now < not_on_or_after + skew``.
+        """
+        verify(assertion, self.trusted)
+        if not assertion.subject_name:
+            raise NoSubject(f"assertion {assertion.id} names no subject")
+        now = time.time()
+        if (
+            now < assertion.not_before.timestamp() - self.clock_skew
+            or now >= assertion.not_on_or_after.timestamp() + self.clock_skew
+        ):
+            raise LifetimeInvalid(f"assertion {assertion.id} is outside its validity window")
+        context = SecurityContext(
+            subject=assertion.subject_name,
+            subject_format=assertion.subject_name_format,
+            attributes=assertion.attributes,
+            assertion=assertion,
+            correlation=correlation,
+        )
+        with self._lock:
+            self.contexts.append(context)
+        return context
+
+    def _fail(self, code: str, correlation: str) -> HttpResponse:
         with self._lock:
             self.failures.append(code)
         return page_response(
@@ -243,25 +289,17 @@ class _MockSpBase:
         )
 
     def _established(self, context: SecurityContext) -> HttpResponse:
-        with self._lock:
-            self.contexts.append(context)
         return page_response(
             "signed in",
             f"welcome {context.subject}",
             headers=(("X-Outcome", "established"), ("X-Correlation", context.correlation)),
         )
 
-    def _lifetime_ok(self, assertion: SamlAssertion) -> bool:
-        now = time.time()
-        return (
-            assertion.not_before.timestamp() - self.clock_skew
-            <= now
-            <= assertion.not_on_or_after.timestamp() + self.clock_skew
-        )
-
 
 class MockSamlSp(_MockSpBase):
     """SAML service provider: initiates at /login, consumes at /acs."""
+
+    _mismatch = "RelayStateMismatch"
 
     def start_login(self) -> RedirectMessage:
         request = SamlAuthnRequest(
@@ -280,38 +318,18 @@ class MockSamlSp(_MockSpBase):
         return encode_saml_redirect(request, relay_state, self.broker_entry_url)
 
     def handle_acs(self, fields: dict[str, str]) -> HttpResponse:
+        correlation = ""
         try:
             response, relay_state = decode_saml_response_post(fields)
+            correlation = response.in_response_to
+            self._consume(correlation, relay_state)
+            if response.status is not SamlStatus.SUCCESS:
+                raise Refused(f"Status:{response.status.value}")
+            assert response.assertion is not None  # a Success response carries one
+            context = self.accept(response.assertion, correlation)
         except FedBridgeError as exc:
-            return self._fail(exc.code)
-
-        with self._lock:
-            expected_relay = self._outstanding.pop(response.in_response_to, None)
-        if expected_relay is None:
-            return self._fail("UnknownRequest", response.in_response_to)
-        if relay_state != expected_relay:
-            return self._fail("RelayStateMismatch", response.in_response_to)
-        if response.status is not SamlStatus.SUCCESS:
-            return self._fail(f"Status:{response.status.value}", response.in_response_to)
-        assert response.assertion is not None
-        try:
-            verify(response.assertion, self.trusted)
-        except FedBridgeError as exc:
-            return self._fail(exc.code, response.in_response_to)
-        if not response.assertion.subject_name:
-            return self._fail("NoSubject", response.in_response_to)
-        if not self._lifetime_ok(response.assertion):
-            return self._fail("LifetimeInvalid", response.in_response_to)
-
-        return self._established(
-            SecurityContext(
-                subject=response.assertion.subject_name,
-                subject_format=response.assertion.subject_name_format,
-                attributes=response.assertion.attributes,
-                assertion=response.assertion,
-                correlation=response.in_response_to,
-            )
-        )
+            return self._fail(exc.code, correlation)
+        return self._established(context)
 
     def routes(self) -> dict[tuple[str, str], RouteHandler]:
         def login(_: HttpRequest) -> HttpResponse:
@@ -325,6 +343,8 @@ class MockSamlSp(_MockSpBase):
 
 class MockWsfedSp(_MockSpBase):
     """WS-Federation service provider: initiates at /login, consumes at /return."""
+
+    _mismatch = "ContextMismatch"
 
     def start_login(self) -> RedirectMessage:
         claims_dialect = None
@@ -348,40 +368,14 @@ class MockWsfedSp(_MockSpBase):
     def handle_return(self, fields: dict[str, str]) -> HttpResponse:
         wctx = fields.get("wctx", "")
         try:
-            rstr, _ = decode_wsfed_signin_response_post(fields, require_token=True)
-        except TokenMissing:
-            with self._lock:
-                self._outstanding.pop(wctx, None)
-            return self._fail("TokenMissing", wctx)
+            rstr, _ = decode_wsfed_signin_response_post(fields, require_token=False)
+            self._consume(wctx, rstr.context)
+            if rstr.requested_token is None:
+                raise TokenMissing("wresult carries no security token")
+            context = self.accept(rstr.requested_token, wctx)
         except FedBridgeError as exc:
             return self._fail(exc.code, wctx)
-
-        with self._lock:
-            known = self._outstanding.pop(wctx, None)
-        if known is None:
-            return self._fail("UnknownRequest", wctx)
-        if rstr.context != wctx:
-            return self._fail("ContextMismatch", wctx)
-        assert rstr.requested_token is not None
-        assertion = rstr.requested_token
-        try:
-            verify(assertion, self.trusted)
-        except FedBridgeError as exc:
-            return self._fail(exc.code, wctx)
-        if not assertion.subject_name:
-            return self._fail("NoSubject", wctx)
-        if not self._lifetime_ok(assertion):
-            return self._fail("LifetimeInvalid", wctx)
-
-        return self._established(
-            SecurityContext(
-                subject=assertion.subject_name,
-                subject_format=assertion.subject_name_format,
-                attributes=assertion.attributes,
-                assertion=assertion,
-                correlation=wctx,
-            )
-        )
+        return self._established(context)
 
     def routes(self) -> dict[tuple[str, str], RouteHandler]:
         def login(_: HttpRequest) -> HttpResponse:
@@ -391,4 +385,3 @@ class MockWsfedSp(_MockSpBase):
             return self.handle_return(request.form)
 
         return {("GET", "/login"): login, ("POST", "/return"): wsfed_return}
-

@@ -8,7 +8,6 @@ build registers Ed25519.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -105,26 +104,18 @@ def load_key_pem(path: str | Path, key_id: str, owner: EntityId, role: KeyRole) 
 
 
 class KeyStore:
-    """Registered verification keys, keyed by key_id.
+    """Verification keys, keyed by key_id.
 
-    Registration happens at configuration load; afterwards the store is
-    read-only, so lookups need no lock beyond the registration guard.
+    Built once, at configuration load, and read-only afterwards.
     """
 
     def __init__(self, records: list[KeyRecord] | None = None):
         self._records: dict[str, KeyRecord] = {}
-        self._lock = threading.Lock()
         for record in records or []:
-            self.register(record)
-
-    def register(self, record: KeyRecord) -> None:
-        if record.role is not KeyRole.VERIFYING_PUBLIC:
-            raise WrongKeyRole(f"key store holds verifying keys only: {record.key_id}")
-        with self._lock:
-            existing = self._records.get(record.key_id)
-            if existing is not None and existing != record:
+            if record.role is not KeyRole.VERIFYING_PUBLIC:
+                raise WrongKeyRole(f"key store holds verifying keys only: {record.key_id}")
+            if self._records.setdefault(record.key_id, record) != record:
                 raise WrongKeyRole(f"key_id already registered: {record.key_id}")
-            self._records[record.key_id] = record
 
     def get(self, key_id: str) -> KeyRecord:
         try:

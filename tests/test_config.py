@@ -9,6 +9,7 @@ import pytest
 from fedbridge.broker import Broker
 from fedbridge.config import MAX_CLOCK_SKEW_S, MAX_TTL_S, config_from_dict
 from fedbridge.errors import UnknownEntity
+from fedbridge.messages import EntityId
 
 BROKER = "https://broker.example.test"
 STS = "https://sts.example.test"
@@ -118,6 +119,12 @@ class TestExistingChecks:
         demo_cfg_dict["broker"]["entity_id"] = STS
         demo_cfg_dict["broker"]["signing_key_id"] = "sts-signing"
         refused(demo_cfg_dict, tmp_path, f"{STS} is not declared with the broker role")
+
+    def test_private_key_for_an_entity_without_one(self, demo_cfg_dict, tmp_path):
+        del demo_cfg_dict["keys"][1]["private_key_file"]
+        cfg = config_from_dict(demo_cfg_dict, base_dir=tmp_path)
+        with pytest.raises(ValueError, match=f"no private key configured for {STS}"):
+            cfg.private_key_for(EntityId(STS))
 
     @pytest.mark.parametrize("kind", ["saml_sso", "saml_acs", "wsfed_signin", "wsfed_return"])
     def test_broker_entity_missing_an_endpoint(self, demo_cfg_dict, tmp_path, kind):

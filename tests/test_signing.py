@@ -133,9 +133,8 @@ class TestKeyHandling:
     def test_store_rejects_conflicting_key_id(self, idp_pair, broker_pair):
         _, idp_public = idp_pair
         _, broker_public = broker_pair
-        store = KeyStore([idp_public])
-        with pytest.raises(WrongKeyRole):
-            store.register(replace(broker_public, key_id="idp-signing"))
+        with pytest.raises(WrongKeyRole, match="already registered"):
+            KeyStore([idp_public, replace(broker_public, key_id="idp-signing")])
 
     def test_unknown_algorithm_rejected(self, idp_pair):
         private, public = idp_pair

@@ -107,8 +107,13 @@ class TestResolveResponsible:
 
     def test_role_mismatch_rejected(self):
         topo = brokered()
-        with pytest.raises(UnknownEntity):
+        with pytest.raises(UnknownEntity, match="urn:ip is not a service provider"):
             resolve_responsible(topo, eid("urn:ip"), eid("urn:sp"))
+
+    def test_pair_without_an_identity_provider_rejected(self):
+        topo = authority_centered()
+        with pytest.raises(UnknownEntity, match="urn:sp2 is not an identity provider"):
+            resolve_path(topo, eid("urn:sp-saml"), eid("urn:sp2"))
 
     def test_same_dialect_pair_rejected(self):
         topo = TrustTopology(
@@ -191,8 +196,13 @@ class TestTopologyValidation:
             TrustTopology([sp("urn:sp")], [(eid("urn:sp"), eid("urn:sp"))])
 
     def test_links_must_reference_known_entities(self):
-        with pytest.raises(InvariantViolation):
-            TrustTopology([sp("urn:sp")], [(eid("urn:sp"), eid("urn:ghost"))])
+        for link in [(eid("urn:sp"), eid("urn:ghost")), (eid("urn:ghost"), eid("urn:sp"))]:
+            with pytest.raises(InvariantViolation, match="trust link references unknown entity"):
+                TrustTopology([sp("urn:sp")], [link])
+
+    def test_duplicate_entities_rejected(self):
+        with pytest.raises(InvariantViolation, match="duplicate entity urn:sp"):
+            TrustTopology([sp("urn:sp"), sp("urn:sp", Dialect.WSFED11B)], [])
 
     def test_unknown_entity_lookup(self):
         with pytest.raises(UnknownEntity):

@@ -6,7 +6,11 @@ The checks are read from the functions named in ``CHECKED``: the broker's
 shared paths, relay decision and four ``handle_*`` methods, its request
 plan, its two expiring stores (``SeenRequestIds.observe``,
 ``CorrelationStore.put`` and ``consume``), configuration load, key loading,
-the SAML response POST decoder and the XML parser. In each:
+the SAML response POST decoder, the XML parser, the trust topology's
+validation and pair check, and the mock service providers' relying-party
+path (``accept``, ``_consume`` and both handlers) with the mock
+authorities' ``authenticate``: the oracle of what a final provider accepts.
+In each:
 
 - every ``if ...: raise`` gives one mutant per operand of an ``or`` (that
   operand never holds), or else one that makes it never fire and, for an
@@ -50,6 +54,13 @@ CHECKED = {
     "signing": {None: {"load_key_pem"}},
     "bindings": {None: {"decode_saml_response_post"}},
     "messages": {None: {"parse"}},
+    "trust": {"TrustTopology": {"__init__"}, None: {"_require_pair"}},
+    "mocks": {
+        "_MockSpBase": {"accept", "_consume"},
+        "MockSamlSp": {"handle_acs"},
+        "MockWsfedSp": {"handle_return"},
+        "MockAuthority": {"authenticate"},
+    },
 }
 SUITE = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--deselect", "tests/test_acceptance.py::test_c11_concurrency",
