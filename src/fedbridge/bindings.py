@@ -12,6 +12,11 @@ redirect payload is deflate-compressed and base64-encoded per the standard
 redirect convention, and inflates to at most 64 KiB; the WS-Federation
 request document rides URL-encoded XML and is therefore capped at 6 KiB to
 stay inside practical URL limits.
+
+What the origin of a request sends to have echoed back, and the broker keeps
+for a whole flow, is capped where the request is decoded: ``RelayState`` at
+80 bytes (SAML bindings §3.4.3); ``wctx``, a request ID and an RST
+``Context`` at ``MAX_ECHOED_BYTES``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from functools import cached_property
 from typing import Mapping
 from urllib.parse import urlencode
 
-from .errors import ProtocolError, RequestTooLarge, TokenMissing
+from .errors import ProtocolError, RequestTooLarge
 from .messages import (
     SamlAuthnRequest,
     SamlResponse,
@@ -37,6 +42,8 @@ from .messages import (
 WSIGNIN = "wsignin1.0"
 WREQ_MAX_BYTES = 6 * 1024
 MAX_INFLATED_BYTES = 64 * 1024
+MAX_RELAY_STATE_BYTES = 80
+MAX_ECHOED_BYTES = 512
 
 
 @dataclass(frozen=True)
@@ -46,11 +53,8 @@ class RedirectMessage:
     target: str
     params: tuple[tuple[str, str], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", tuple((n, v) for n, v in self.params))
-
-    # Computed on first use, not in __post_init__: the broker builds the
-    # message, and the HTTP adapter that answers with it pays the urlencode.
+    # Computed on first use: the broker builds the message, and the HTTP
+    # adapter that answers with it pays the urlencode.
     @cached_property
     def location(self) -> str:
         query = urlencode(self.params)
@@ -64,9 +68,6 @@ class PostMessage:
 
     target: str
     fields: tuple[tuple[str, str], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fields", tuple((n, v) for n, v in self.fields))
 
 
 def auto_post_html(message: PostMessage) -> str:
@@ -92,6 +93,12 @@ def _require(params: Mapping[str, str], name: str) -> str:
         raise ProtocolError(f"missing parameter {name}") from None
 
 
+def _cap(name: str, value: str, limit: int) -> None:
+    size = len(value.encode("utf-8", "surrogatepass"))  # counts a lone surrogate, never raises
+    if size > limit:
+        raise RequestTooLarge(f"{name} of {size} bytes exceeds {limit}")
+
+
 # --- SAML redirect (authentication request) ---------------------------------
 
 
@@ -107,6 +114,8 @@ def encode_saml_redirect(
 
 def decode_saml_redirect(params: Mapping[str, str]) -> tuple[SamlAuthnRequest, str]:
     raw = _require(params, "SAMLRequest")
+    relay_state = params.get("RelayState", "")
+    _cap("RelayState", relay_state, MAX_RELAY_STATE_BYTES)
     inflater = zlib.decompressobj(-15)
     try:
         inflated = inflater.decompress(base64.b64decode(raw, validate=True),
@@ -118,7 +127,9 @@ def decode_saml_redirect(params: Mapping[str, str]) -> tuple[SamlAuthnRequest, s
         raise RequestTooLarge(f"SAMLRequest inflates past {MAX_INFLATED_BYTES} bytes")
     if xml is None:
         raise ProtocolError("SAMLRequest is a truncated deflate stream")
-    return parse(xml, SamlAuthnRequest), params.get("RelayState", "")
+    req = parse(xml, SamlAuthnRequest)
+    _cap("request ID", req.id, MAX_ECHOED_BYTES)
+    return req, relay_state
 
 
 # --- WS-Federation sign-in redirect (token issue request) --------------------
@@ -143,7 +154,11 @@ def decode_wsfed_signin(params: Mapping[str, str]) -> tuple[WstRequestSecurityTo
     if wa != WSIGNIN:
         raise ProtocolError(f"wa must be {WSIGNIN}, got {wa!r}")
     xml = _require(params, "wreq")
-    return parse(xml, WstRequestSecurityToken), params.get("wctx", "")
+    wctx = params.get("wctx", "")
+    _cap("wctx", wctx, MAX_ECHOED_BYTES)
+    rst = parse(xml, WstRequestSecurityToken)
+    _cap("Context", rst.context, MAX_ECHOED_BYTES)
+    return rst, wctx
 
 
 # --- SAML response POST -------------------------------------------------------
@@ -180,10 +195,8 @@ def encode_wsfed_signin_response_post(
 
 
 def decode_wsfed_signin_response_post(
-    fields: Mapping[str, str], *, require_token: bool = True
+    fields: Mapping[str, str]
 ) -> tuple[WstRequestSecurityTokenResponse, str]:
+    """The RSTR and its wctx; an RSTR with no token (a refusal) decodes too."""
     xml = _require(fields, "wresult")
-    rstr = parse(xml, WstRequestSecurityTokenResponse)
-    if require_token and rstr.requested_token is None:
-        raise TokenMissing("wresult carries no security token")
-    return rstr, fields.get("wctx", "")
+    return parse(xml, WstRequestSecurityTokenResponse), fields.get("wctx", "")

@@ -11,8 +11,8 @@ assertion consumer endpoint. Flow B is the mirror image through
 The four handle_* methods do only their dialect's work (decode, provider
 lookup, translation, encode) over one inbound and one return path shared by
 both flows. ``_open`` refuses an origin request ID (SAML request ID or RST
-Context) already seen from its provider, finds the bridged authority and
-draws a correlation, which ``_redirect`` keeps only once the request is
+Context) already seen from its provider, finds its route and draws a
+correlation, which ``_redirect`` keeps only once the request is
 translated and encoded. ``_close`` requires the correlation parameter,
 consumes it once and checks the flow's origin dialect; the response must
 answer the broker's own request (RSTR Context or InResponseTo), and
@@ -22,17 +22,17 @@ runs on the authority's assertion before anything is renamed, rewritten or
 signed.
 
 Everything a request needs from the configuration is resolved once, at
-start: the routes and each authority's keys into a frozen ``RequestPlan``,
-and each provider's pseudonym rewrite. No request walks the trust graph,
-rebuilds a key or builds a closure.
+start, into a frozen ``RequestPlan``: one ``ProviderRoute`` per bridged
+service provider, which each correlation entry points to. No request walks
+the trust graph, rebuilds a key or builds a closure.
 
 The correlation store (entries consumed at most once, atomically), the
 seen-request-id set and the set of relayed assertion IDs drop expired
 entries as new ones arrive, so each holds what arrived within its TTL,
 abandoned flows included, and never more than ``MAX_LIVE_ENTRIES``. An
-abandoned flow-A attempt keeps about 500 bytes across the correlation store
-and the request-id set: the entry shares the provider's registered consumer
-URL and one clock reading with its replay record. A full correlation store
+abandoned flow-A attempt keeps about 530 bytes across the correlation store
+and the request-id set: the entry keeps only what its own flow knows, and
+shares one clock reading with its replay record. A full correlation store
 evicts its oldest entry, whose flow then fails closed at its return leg
 (``UnknownCorrelation``); a full replay set evicts nothing, since that would
 reopen a replay window, and refuses each new ID with ``Overloaded`` (503)
@@ -120,14 +120,29 @@ TRANSIENT_NAMEID_FORMAT = "urn:oasis:names:tc:SAML:2.0:nameid-format:transient"
 # of an assertion it relayed.
 MAX_ASSERTION_LIFETIME_S = 300
 
-# The most live entries each expiring map holds. An abandoned flow-A attempt
-# keeps ~370 B in the correlation store and ~130 B in the request-id set, and
-# a relayed assertion ~320 B in the relayed-ID set (tracemalloc, CPython
-# 3.11): full, the three maps hold 2**20 x ~820 B, about 0.85 GB. At the
-# default 300 s TTLs the cap binds only past ~3,500 new flows per second
-# (2**20 / 300 s); at the longest TTL a config may set (config.MAX_TTL_S),
-# past ~290 per second.
+# The most live entries each expiring map holds. An abandoned attempt keeps
+# ~530 B in the correlation store and request-id set with a 33-byte request
+# ID and a 16-byte RelayState, and at most ~1.7 KB with a wctx and a Context
+# of bindings.MAX_ECHOED_BYTES each; a relayed assertion ~320 B in the
+# relayed-ID set (tracemalloc, CPython 3.11). Full, the three maps hold
+# 2**20 x ~850 B (0.9 GB) at those typical sizes, and 2**20 x ~2 KB (2.1 GB)
+# with every value an origin controls at its cap. At the default 300 s TTLs
+# the cap binds only past ~3,500 new flows per second; at the longest TTL a
+# config may set (config.MAX_TTL_S), past ~290.
 MAX_LIVE_ENTRIES = 1 << 20
+
+
+@dataclass(frozen=True, slots=True)
+class ProviderRoute:
+    """What every flow of one bridged service provider shares: its registered
+    ``acs`` or ``return`` URL, the identity provider it is bridged to, whose
+    keys alone the return leg verifies under, and its pseudonym rewrite."""
+
+    sp: FederationEntity
+    consumer: str
+    ip: FederationEntity
+    ip_keys: KeyStore
+    rewrite: AssertionTransform | None
 
 
 @dataclass(slots=True)
@@ -137,27 +152,22 @@ class CorrelationEntry:
     ``correlation_id`` rides the outbound transport (wctx in flow A,
     RelayState in flow B); ``original_request_id`` is whatever the origin
     provider correlates on (its request ID, or its WS-Trust context);
-    ``origin_relay`` is the transport token echoed back on the final POST;
-    ``expected_issuer`` is the authority the outbound leg went to: the return
-    leg verifies under its keys only.
+    ``route`` is the origin provider's; ``origin_relay`` is the transport
+    token echoed back on the final POST.
     """
 
     correlation_id: str
     original_request_id: str
-    origin_sp: EntityId
-    origin_dialect: Dialect
-    acs_or_return_url: str
+    route: ProviderRoute
     created: float
-    ttl: float
     origin_relay: str = ""
     outbound_request_id: str = ""
-    expected_issuer: EntityId | None = None
 
 
 class _ExpiringMap:
     """An insertion-ordered map and its lock, swept from the front.
 
-    Every entry of one map lives for the same TTL, so insertion order is
+    Every entry of one map lives for the same ``ttl``, so insertion order is
     also expiry order: a sweep pops expired entries off the front and stops
     at the first live one. Insert, pop and sweep are O(1) amortised, no
     entry is dropped before its own TTL has passed, and the map holds what
@@ -166,9 +176,10 @@ class _ExpiringMap:
     expired entry behind a live one, until the live one expires.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, ttl: float) -> None:
         self._entries: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
+        self._ttl = ttl
 
     def _expired(self, value, now: float) -> bool:
         raise NotImplementedError
@@ -192,12 +203,12 @@ class CorrelationStore(_ExpiringMap):
 
     _entries: OrderedDict[str, CorrelationEntry]
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, ttl: float) -> None:
+        super().__init__(ttl)
         self.evicted = 0
 
     def _expired(self, entry: CorrelationEntry, now: float) -> bool:
-        return now - entry.created > entry.ttl
+        return now - entry.created > self._ttl
 
     def put(self, entry: CorrelationEntry) -> None:
         with self._lock:
@@ -229,10 +240,6 @@ class SeenRequestIds(_ExpiringMap):
 
     _entries: OrderedDict[tuple[str, str], float]
 
-    def __init__(self, ttl: float) -> None:
-        super().__init__()
-        self._ttl = ttl
-
     def _expired(self, seen_at: float, now: float) -> bool:
         return now - seen_at > self._ttl
 
@@ -255,51 +262,53 @@ class SeenRequestIds(_ExpiringMap):
 class RequestPlan:
     """The request-time lookups, compiled from the topology at start.
 
-    The topology never changes while the broker runs, so neither does the
-    identity provider it bridges each service provider to, nor the
-    WS-Federation provider that replies at each address, nor the keys each
-    identity provider owns. A lookup that finds nothing still fails the
-    request: ``NoTrustPath`` for a provider the broker does not bridge,
-    ``UnknownIssuer`` for an unknown address. An identity provider the
+    The topology never changes while the broker runs, so neither does each
+    service provider's route, nor the WS-Federation provider that replies at
+    each address. A lookup that finds nothing still fails the request:
+    ``NoTrustPath`` for a provider the broker does not bridge (its route is
+    None), ``UnknownIssuer`` for an unknown address. An identity provider the
     broker bridges must list a key, or every one of its flows would fail
     closed; the broker refuses to start without one.
     """
 
-    bridged_ips: Mapping[EntityId, FederationEntity | None]
+    routes: Mapping[EntityId, ProviderRoute | None]
     wsfed_sps_by_reply_to: Mapping[str, FederationEntity]
-    authority_keys: Mapping[EntityId, KeyStore]
 
     @classmethod
-    def compile(cls, config: BrokerConfig) -> RequestPlan:
+    def compile(
+        cls, config: BrokerConfig, rewrites: Mapping[EntityId, AssertionTransform]
+    ) -> RequestPlan:
         topology, broker_id = config.topology, config.broker_id
         idps = topology.by_role(Role.IDENTITY_PROVIDER)
-        sps = topology.by_role(Role.SERVICE_PROVIDER)
-        bridged_ips: dict[EntityId, FederationEntity | None] = {}
+        routes: dict[EntityId, ProviderRoute | None] = {}
         reply_to: dict[str, FederationEntity] = {}
-        authority_keys: dict[EntityId, KeyStore] = {}
-        for sp in sps:
-            ip = bridged_ips[sp.id] = next(
+        ip_keys: dict[EntityId, KeyStore] = {}
+        for sp in topology.by_role(Role.SERVICE_PROVIDER):
+            ip = next(
                 (ip for ip in idps if ip.dialect is not sp.dialect
                  and _bridges(topology, broker_id, sp, ip)),
                 None,
             )
-            if ip is not None and ip.id not in authority_keys:
+            if ip is not None and ip.id not in ip_keys:
                 if not ip.keys:
                     raise ValueError(f"entities: {ip.id} is bridged by {broker_id} "
                                      f"but lists no keys")
-                authority_keys[ip.id] = KeyStore([config.public_keys[k] for k in ip.keys])
+                ip_keys[ip.id] = KeyStore([config.public_keys[k] for k in ip.keys])
+            # Every provider has its consumer, enforced at load.
+            consumer = sp.endpoints["acs" if sp.dialect is Dialect.SAML2 else "return"]
+            routes[sp.id] = None if ip is None else ProviderRoute(
+                sp, consumer, ip, ip_keys[ip.id], rewrites.get(sp.id))
             if sp.dialect is Dialect.WSFED11B:
                 # Providers sharing an address: the first by entity ID wins.
-                reply_to.setdefault(sp.endpoints["return"], sp)
-        return cls(MappingProxyType(bridged_ips), MappingProxyType(reply_to),
-                   MappingProxyType(authority_keys))
+                reply_to.setdefault(consumer, sp)
+        return cls(MappingProxyType(routes), MappingProxyType(reply_to))
 
-    def bridged_ip(self, sp: FederationEntity) -> FederationEntity:
-        """The identity provider this broker bridges the given SP to."""
-        ip = self.bridged_ips.get(sp.id)
-        if ip is None:
+    def route(self, sp: FederationEntity) -> ProviderRoute:
+        """The route of a service provider this broker bridges."""
+        route = self.routes.get(sp.id)
+        if route is None:
             raise NoTrustPath(f"no identity provider brokered for {sp.id}")
-        return ip
+        return route
 
     def wsfed_sp(self, reply_to: str) -> FederationEntity:
         try:
@@ -333,16 +342,14 @@ class Broker:
         self.config = config
         self.broker_id = config.broker_id
         self.signing_key = config.signing_key
-        self.correlations = CorrelationStore()
+        self.correlations = CorrelationStore(config.correlation_ttl)
         self.seen_ids = SeenRequestIds(config.replay_ttl)
         # An assertion passes the window check until NotOnOrAfter + skew, and
         # its NotOnOrAfter may lie MAX_ASSERTION_LIFETIME_S + skew ahead.
         self.seen_assertions = SeenRequestIds(MAX_ASSERTION_LIFETIME_S + 2 * config.clock_skew)
         # The persistent pseudonyms issued, for the benchmark's gauge only.
         self.pseudonyms: set[str] = set()
-        self.plan = RequestPlan.compile(config)
-        # Each provider with a pseudonym mode, and the rewrite of its assertions.
-        self.rewrites: Mapping[EntityId, AssertionTransform] = MappingProxyType({
+        self.plan = RequestPlan.compile(config, {
             EntityId(sp): self._pseudonym_rewrite(EntityId(sp), mode)
             for sp, mode in config.pseudonym_modes.items() if mode != "none"
         })
@@ -380,22 +387,18 @@ class Broker:
     # -- the two shared paths --------------------------------------------------
 
     def _open(
-        self, sp: FederationEntity, original_request_id: str, acs_or_return_url: str,
-        origin_relay: str, outbound_request_id: str = "",
-    ) -> tuple[CorrelationEntry, FederationEntity]:
-        """Inbound leg: refuse a replayed origin request, find the bridged
-        authority, and draw the correlation the outbound leg carries. The
-        entry shares the instant the replay guard recorded."""
+        self, sp: FederationEntity, original_request_id: str, origin_relay: str,
+        outbound_request_id: str = "",
+    ) -> CorrelationEntry:
+        """Inbound leg: refuse a replayed origin request, find the provider's
+        route, and draw the correlation the outbound leg carries. The entry
+        shares the instant the replay guard recorded."""
         if original_request_id:
             created = self.seen_ids.observe(sp.id, original_request_id)
         else:  # an RST need not carry a Context: no ID, nothing to guard
             created = time.time()
-        ip = self.plan.bridged_ip(sp)
-        entry = CorrelationEntry(
-            secrets.token_urlsafe(24), original_request_id, sp.id, sp.dialect, acs_or_return_url,
-            created, self.config.correlation_ttl, origin_relay, outbound_request_id, ip.id,
-        )
-        return entry, ip
+        return CorrelationEntry(secrets.token_urlsafe(24), original_request_id,
+                                self.plan.route(sp), created, origin_relay, outbound_request_id)
 
     def _redirect(self, leg: str, entry: CorrelationEntry, encode, request, target: str):
         """Inbound leg: the translated request leaves with the correlation; it
@@ -412,14 +415,14 @@ class Broker:
         if not correlation_id:
             raise ProtocolError(f"missing parameter {name}")
         entry = self.correlations.consume(correlation_id)
-        if entry.origin_dialect is not origin:
+        if entry.route.sp.dialect is not origin:
             raise ProtocolError(f"correlation does not belong to a {origin.value}-origin flow")
         return entry
 
     def _relay(self, leg: str, entry: CorrelationEntry, status: SamlStatus, encode, result):
         """Return leg: the result goes to the origin's consumer with its own
         relay token, the authority's refusal included."""
-        message = encode(result, entry.origin_relay, entry.acs_or_return_url)
+        message = encode(result, entry.origin_relay, entry.route.consumer)
         outcome = "relayed" if status is SamlStatus.SUCCESS else f"relayed-error:{status.value}"
         self._log_leg(leg, "ip->broker->sp", entry.correlation_id, outcome)
         return message
@@ -440,7 +443,7 @@ class Broker:
         ID is recorded at once, so a translation that fails after this check
         still spends it.
         """
-        verify_issuer(assertion, self.plan.authority_keys[entry.expected_issuer])
+        verify_issuer(assertion, entry.route.ip_keys)
         if not assertion.subject_name:
             raise NoSubject(f"assertion {assertion.id} names no subject")
         skew = self.config.clock_skew
@@ -453,7 +456,7 @@ class Broker:
             )
         # verify_issuer has just proven the assertion's issuer to be the
         # flow's, whose shared ID spares each record a parsed copy of it.
-        self.seen_assertions.observe(entry.expected_issuer, assertion.id)
+        self.seen_assertions.observe(entry.route.ip.id, assertion.id)
 
     # -- flow A: SAML SP -> broker -> WS-Fed IP --------------------------------
 
@@ -461,25 +464,23 @@ class Broker:
         """SAML authentication request in, WS-Federation sign-in redirect out."""
         req, relay_state = decode_saml_redirect(params)
         sp = self._registered_sp(req.issuer, Dialect.SAML2)
-        acs_url = sp.endpoints["acs"]  # every SAML provider has one, enforced at load
-        if req.acs_url and req.acs_url != acs_url:
+        if req.acs_url and req.acs_url != sp.endpoints["acs"]:
             raise ProtocolError(f"request ACS {req.acs_url} differs from registered endpoint")
 
-        # The correlation keeps the registered URL, shared by every flow of
-        # the provider, not the request's equal copy.
-        entry, ip = self._open(sp, req.id, acs_url, relay_state)
+        entry = self._open(sp, req.id, relay_state)
         # The token must come back through this broker, not go straight to
-        # the origin provider; its consumer URL lives in the correlation entry.
+        # the origin provider; its consumer URL lives on the provider's route.
         rst = authn_request_to_rst(
             req, self.config.ctx_map, context=entry.correlation_id,
             reply_to=self.config.broker_entity.endpoint("wsfed_return"),
         )
-        return self._redirect("saml_sso", entry, encode_wsfed_signin, rst, ip.endpoint("signin"))
+        return self._redirect("saml_sso", entry, encode_wsfed_signin, rst,
+                              entry.route.ip.endpoint("signin"))
 
     def handle_wsfed_return(self, fields: dict[str, str]) -> PostMessage:
         """Issued token comes back; extract, re-sign, reformat, relay."""
         entry = self._close(fields, "wctx", Dialect.SAML2)
-        rstr, _ = decode_wsfed_signin_response_post(fields, require_token=False)
+        rstr, _ = decode_wsfed_signin_response_post(fields)
         if rstr.context != entry.correlation_id:
             raise ProtocolError("wresult context does not match correlation")
 
@@ -491,7 +492,7 @@ class Broker:
             response = rstr_to_saml_response(
                 rstr, self.signing_key,
                 in_response_to=entry.original_request_id, attr_map=self.config.attr_map,
-                transform=self.rewrites.get(entry.origin_sp),
+                transform=entry.route.rewrite,
             )
         return self._relay("wsfed_return", entry, response.status,
                            encode_saml_response_post, response)
@@ -502,9 +503,8 @@ class Broker:
         """WS-Trust issue request in, SAML authentication redirect out."""
         rst, wctx = decode_wsfed_signin(params)
         sp = self.plan.wsfed_sp(rst.reply_to)  # found by this very address
-        entry, ip = self._open(sp, rst.context, sp.endpoints["return"], wctx,
-                               outbound_request_id=fresh_id())
-        sso = ip.endpoint("sso")
+        entry = self._open(sp, rst.context, wctx, outbound_request_id=fresh_id())
+        sso = entry.route.ip.endpoint("sso")
         saml_req = rst_to_authn_request(
             rst, self.config.ctx_map, issuer=self.broker_id,
             acs_url=self.config.broker_entity.endpoint("saml_acs"),
@@ -524,7 +524,7 @@ class Broker:
             rstr = saml_response_to_rstr(
                 response, self.signing_key,
                 context=entry.original_request_id, attr_map=self.config.attr_map,
-                transform=self.rewrites.get(entry.origin_sp),
+                transform=entry.route.rewrite,
             )
         else:
             rstr = WstRequestSecurityTokenResponse(

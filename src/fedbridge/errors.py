@@ -69,10 +69,6 @@ class TokenMissing(FedBridgeError):
     code = "TokenMissing"
 
 
-class NonSuccessStatus(FedBridgeError):
-    code = "NonSuccessStatus"
-
-
 class UntrustedIssuer(FedBridgeError):
     code = "UntrustedIssuer"
 

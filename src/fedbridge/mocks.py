@@ -368,7 +368,7 @@ class MockWsfedSp(_MockSpBase):
     def handle_return(self, fields: dict[str, str]) -> HttpResponse:
         wctx = fields.get("wctx", "")
         try:
-            rstr, _ = decode_wsfed_signin_response_post(fields, require_token=False)
+            rstr, _ = decode_wsfed_signin_response_post(fields)
             self._consume(wctx, rstr.context)
             if rstr.requested_token is None:
                 raise TokenMissing("wresult carries no security token")

@@ -23,7 +23,7 @@ from urllib.parse import urlparse
 
 from .broker import Broker
 from .client import ClientResult, PassiveClient, ScenarioTrace
-from .config import BrokerConfig, config_from_dict, load_config
+from .config import BrokerConfig, load_config
 from .errors import ScenarioSetupError
 from .httpd import ServerHandle, start_server
 from .messages import EntityId
@@ -446,11 +446,6 @@ def write_demo_config(
     return path
 
 
-def demo_config(directory: str | Path, **kwargs) -> BrokerConfig:
-    """Demo deployment loaded straight into a BrokerConfig."""
-    return config_from_dict(build_demo_config(directory, **kwargs), base_dir=directory)
-
-
 __all__ = [
     "Scenario",
     "Environment",
@@ -461,7 +456,6 @@ __all__ = [
     "run_concurrent",
     "build_demo_config",
     "write_demo_config",
-    "demo_config",
     "free_ports",
     "load_config",
     "EMAIL_NAMEID_FORMAT",

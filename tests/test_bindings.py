@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 
 from fedbridge.bindings import (
+    MAX_ECHOED_BYTES,
     MAX_INFLATED_BYTES,
+    MAX_RELAY_STATE_BYTES,
     WREQ_MAX_BYTES,
     auto_post_html,
     decode_saml_redirect,
@@ -25,7 +27,7 @@ from fedbridge.bindings import (
     encode_wsfed_signin_response_post,
 )
 from fedbridge.client import extract_form
-from fedbridge.errors import ProtocolError, RequestTooLarge, TokenMissing
+from fedbridge.errors import ProtocolError, RequestTooLarge
 from fedbridge.messages import SamlStatus, canonical_bytes, parse, serialize, SamlAuthnRequest
 
 from support import (
@@ -219,28 +221,50 @@ class TestWsfedResponsePost:
             rstr.requested_token
         )
 
-    def test_tokenless_wresult_rejected_by_default(self):
-        rstr = make_rstr(token=None, lifetime=None)
-        message = encode_wsfed_signin_response_post(rstr, "ctx", ACS_URL)
-        with pytest.raises(TokenMissing):
-            decode_wsfed_signin_response_post(dict(message.fields))
-
     def test_tokenless_wresult_accepted_when_relaying_errors(self):
         rstr = make_rstr(token=None, lifetime=None)
         message = encode_wsfed_signin_response_post(rstr, "ctx", ACS_URL)
-        decoded, _ = decode_wsfed_signin_response_post(
-            dict(message.fields), require_token=False
-        )
+        decoded, _ = decode_wsfed_signin_response_post(dict(message.fields))
         assert decoded.requested_token is None
 
     @settings(max_examples=100)
     @given(rstrs())
     def test_encode_decode_inverse(self, rstr):
         message = encode_wsfed_signin_response_post(rstr, "c", ACS_URL)
-        decoded, _ = decode_wsfed_signin_response_post(
-            dict(message.fields), require_token=False
-        )
+        decoded, _ = decode_wsfed_signin_response_post(dict(message.fields))
         assert decoded == rstr
+
+
+# A request decoder, a cap, and its parameters with one echoed value set.
+ECHOED = {
+    "saml-redirect-RelayState": (decode_saml_redirect, MAX_RELAY_STATE_BYTES, lambda value: (
+        location_params(encode_saml_redirect(make_authn_request(), value, IDP_URL)))),
+    "saml-redirect-ID": (decode_saml_redirect, MAX_ECHOED_BYTES, lambda value: (
+        location_params(encode_saml_redirect(make_authn_request(id="_" + value[1:]), "",
+                                             IDP_URL)))),
+    "wsfed-signin-wctx": (decode_wsfed_signin, MAX_ECHOED_BYTES, lambda value: (
+        location_params(encode_wsfed_signin(make_rst(), value, IDP_URL)))),
+    "wsfed-signin-Context": (decode_wsfed_signin, MAX_ECHOED_BYTES, lambda value: (
+        location_params(encode_wsfed_signin(make_rst(context=value), "", IDP_URL)))),
+}
+
+
+class TestEchoedValueCaps:
+    """A value the origin of a request sends to have echoed back is refused one
+    byte past its cap, counted in UTF-8 bytes."""
+
+    @pytest.mark.parametrize("case", list(ECHOED))
+    def test_refused_one_byte_past_the_cap(self, case):
+        decode, limit, params = ECHOED[case]
+        decode(params("x" * limit))
+        with pytest.raises(RequestTooLarge):
+            decode(params("x" * (limit + 1)))
+
+    def test_counted_in_bytes_not_characters(self):
+        decode, limit, params = ECHOED["saml-redirect-RelayState"]
+        decode(params("é" * (limit // 2)))
+        with pytest.raises(RequestTooLarge):
+            decode(params("é" * (limit // 2 + 1)))
 
 
 class TestAutoPostHtml:

@@ -23,6 +23,7 @@ from fedbridge.broker import (
     CorrelationEntry,
     CorrelationStore,
     PERSISTENT_NAMEID_FORMAT,
+    ProviderRoute,
     SeenRequestIds,
     TRANSIENT_NAMEID_FORMAT,
 )
@@ -45,6 +46,7 @@ from fedbridge.errors import (
     Overloaded,
     ProtocolError,
     Replay,
+    RequestTooLarge,
     SignatureInvalid,
     UnknownCorrelation,
     UnknownIssuer,
@@ -64,7 +66,7 @@ from fedbridge.mocks import MockSamlIdp, MockSamlSp, MockWsfedSts
 from fedbridge.pseudonym import derive_persistent
 from fedbridge.signing import KeyStore, generate_keypair, sign, verify
 from fedbridge.translate import SAML2_ASSERTION_TOKEN_TYPE
-from fedbridge.trust import Dialect, TrustTopology
+from fedbridge.trust import Dialect, FederationEntity, Role, TrustTopology
 
 from support import make_rst
 
@@ -362,7 +364,7 @@ class TestFlowB:
 
         redirect = broker.handle_wsfed_signin(wsfed_signin_params(cfg))
         entry = broker.correlations._entries[location_params(redirect)["RelayState"]]
-        assert entry.origin_sp == EntityId(twin)
+        assert entry.route.sp.id == EntityId(twin)
 
     def test_non_success_relayed_as_tokenless_result(self, broker, demo_cfg):
         from fedbridge.messages import SamlResponse
@@ -380,7 +382,7 @@ class TestFlowB:
             dict(encode_saml_response_post(refusal, relay_state, "ignored").fields)
         )
         fields = dict(post.fields)
-        rstr, wctx = decode_wsfed_signin_response_post(fields, require_token=False)
+        rstr, wctx = decode_wsfed_signin_response_post(fields)
         assert rstr.requested_token is None
         assert rstr.context == "sp-context-1"
         assert wctx == "sp-context-1"
@@ -596,18 +598,26 @@ class TestRequestPlan:
         assert all(calls.values()), calls
 
 
+# A route for entries the stores hold but no handler reads.
+ROUTE = ProviderRoute(
+    sp=FederationEntity(EntityId(SAML_SP), Role.SERVICE_PROVIDER, Dialect.SAML2,
+                        {"acs": "https://sp/acs"}),
+    consumer="https://sp/acs",
+    ip=FederationEntity(EntityId(STS), Role.IDENTITY_PROVIDER, Dialect.WSFED11B),
+    ip_keys=KeyStore(),
+    rewrite=None,
+)
+
+
 class TestCorrelationStore:
     def test_concurrent_consume_single_winner(self):
-        store = CorrelationStore()
+        store = CorrelationStore(300.0)
         store.put(
             CorrelationEntry(
                 correlation_id="c1",
                 original_request_id="_r",
-                origin_sp=EntityId("urn:sp"),
-                origin_dialect=Dialect.SAML2,
-                acs_or_return_url="https://sp/acs",
+                route=ROUTE,
                 created=time.time(),
-                ttl=300,
             )
         )
         wins, losses = [], []
@@ -644,15 +654,12 @@ def clock(monkeypatch) -> FakeClock:
     return fake
 
 
-def correlation(correlation_id: str, created: float, ttl: float = 300.0) -> CorrelationEntry:
+def correlation(correlation_id: str, created: float) -> CorrelationEntry:
     return CorrelationEntry(
         correlation_id=correlation_id,
         original_request_id="_r",
-        origin_sp=EntityId(SAML_SP),
-        origin_dialect=Dialect.SAML2,
-        acs_or_return_url="https://sp/acs",
+        route=ROUTE,
         created=created,
-        ttl=ttl,
     )
 
 
@@ -731,7 +738,7 @@ class TestExpiringState:
         assert len(guard) == 200
 
     def test_abandoned_correlations_swept(self, clock):
-        store = CorrelationStore()
+        store = CorrelationStore(300.0)
         for n in range(500):
             store.put(correlation(f"c{n}", created=clock.now))
         clock.now += 300.0
@@ -743,7 +750,7 @@ class TestExpiringState:
         assert store.consume("last").correlation_id == "last"
 
     def test_expired_entry_not_yet_swept(self, clock):
-        store = CorrelationStore()
+        store = CorrelationStore(300.0)
         store.put(correlation("c1", created=clock.now))
         clock.now += 300.5
         assert len(store) == 1
@@ -914,6 +921,25 @@ class TestRelayChecks:
             deliver_on_sts_leg(broker, demo_cfg, assertion)
 
 
+class TestOriginControlledBytes:
+    """What an origin has the broker keep for a flow's whole TTL is capped
+    where it is decoded: nothing of a refused request is kept."""
+
+    @pytest.mark.parametrize("handler, oversized", [
+        ("handle_saml_sso", lambda cfg: saml_sso_params(cfg) | {"RelayState": "r" * 81}),
+        ("handle_saml_sso", lambda cfg: saml_sso_params(cfg, id="_" + "a" * 512)),
+        ("handle_wsfed_signin", lambda cfg: wsfed_signin_params(cfg) | {"wctx": "w" * 513}),
+        ("handle_wsfed_signin", lambda cfg: wsfed_signin_params(cfg, context="c" * 513)),
+    ], ids=["RelayState", "SAML ID", "wctx", "Context"])
+    def test_oversized_value_refused_before_any_state(self, broker, demo_cfg, handler, oversized):
+        params = oversized(demo_cfg)
+        params.pop("__request_id", None)
+        with pytest.raises(RequestTooLarge):
+            getattr(broker, handler)(params)
+        assert len(broker.seen_ids) == 0
+        assert len(broker.correlations) == 0
+
+
 @pytest.fixture
 def cap(monkeypatch) -> int:
     monkeypatch.setattr(broker_module, "MAX_LIVE_ENTRIES", 4)
@@ -926,7 +952,7 @@ class TestFullMaps:
     guard forgets no live ID and refuses new ones instead."""
 
     def test_full_store_evicts_the_oldest_correlation(self, cap, clock):
-        store = CorrelationStore()
+        store = CorrelationStore(300.0)
         for n in range(cap + 2):
             store.put(correlation(f"c{n}", created=clock.now))
             clock.now += 1.0

@@ -113,7 +113,8 @@ class TestExistingChecks:
 
     def test_mode_none_needs_no_master_secret(self, demo_cfg_dict, tmp_path):
         demo_cfg_dict["pseudonym"] = {"modes": {SAML_SP: "none"}}
-        assert not Broker(config_from_dict(demo_cfg_dict, base_dir=tmp_path)).rewrites
+        routes = Broker(config_from_dict(demo_cfg_dict, base_dir=tmp_path)).plan.routes
+        assert all(route is None or route.rewrite is None for route in routes.values())
 
     def test_broker_entity_without_broker_role(self, demo_cfg_dict, tmp_path):
         demo_cfg_dict["broker"]["entity_id"] = STS

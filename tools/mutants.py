@@ -4,12 +4,14 @@
 
 The checks are read from the functions named in ``CHECKED``: the broker's
 shared paths, relay decision and four ``handle_*`` methods, its request
-plan, its two expiring stores (``SeenRequestIds.observe``,
-``CorrelationStore.put`` and ``consume``), configuration load, key loading,
-the SAML response POST decoder, the XML parser, the trust topology's
-validation and pair check, and the mock service providers' relying-party
-path (``accept``, ``_consume`` and both handlers) with the mock
-authorities' ``authenticate``: the oracle of what a final provider accepts.
+plan (``compile`` and the ``route`` lookup), its two expiring stores
+(``SeenRequestIds.observe``, ``CorrelationStore.put`` and ``consume``),
+configuration load, key loading, the SAML response POST decoder and both
+request decoders with the size cap they share (``_cap``), the XML parser,
+the trust topology's validation and pair check, and the mock service
+providers' relying-party path (``accept``, ``_consume`` and both handlers)
+with the mock authorities' ``authenticate``: the oracle of what a final
+provider accepts.
 In each:
 
 - every ``if ...: raise`` gives one mutant per operand of an ``or`` (that
@@ -46,13 +48,14 @@ CHECKED = {
     "broker": {
         "Broker": {"_open", "_close", "_registered_sp", "check_relayable", "handle_saml_sso",
                    "handle_wsfed_return", "handle_wsfed_signin", "handle_saml_acs"},
-        "RequestPlan": {"compile"},
+        "RequestPlan": {"compile", "route"},
         "SeenRequestIds": {"observe"},
         "CorrelationStore": {"put", "consume"},
     },
     "config": {None: {"config_from_dict"}},
     "signing": {None: {"load_key_pem"}},
-    "bindings": {None: {"decode_saml_response_post"}},
+    "bindings": {None: {"decode_saml_redirect", "decode_wsfed_signin", "decode_saml_response_post",
+                        "_cap"}},
     "messages": {None: {"parse"}},
     "trust": {"TrustTopology": {"__init__"}, None: {"_require_pair"}},
     "mocks": {
