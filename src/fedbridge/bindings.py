@@ -10,8 +10,10 @@ with ``RelayState`` on the SAML side; ``wa`` (always ``wsignin1.0``),
 ``wreq``, ``wresult`` and ``wctx`` on the WS-Federation side. The SAML
 redirect payload is deflate-compressed and base64-encoded per the standard
 redirect convention, and inflates to at most 64 KiB; the WS-Federation
-request document rides URL-encoded XML and is therefore capped at 6 KiB to
-stay inside practical URL limits.
+request document rides URL-encoded XML and is therefore capped at 6 KiB
+(``WREQ_MAX_BYTES``), on encode and on decode, to stay inside practical URL
+limits. Every document is parsed by ``messages.parse``, which refuses a
+document type declaration before the parser sees it.
 
 What the origin of a request sends to have echoed back, and the broker keeps
 for a whole flow, is capped where the request is decoded: ``RelayState`` at
@@ -139,10 +141,7 @@ def encode_wsfed_signin(
     rst: WstRequestSecurityToken, wctx: str, ip_url: str
 ) -> RedirectMessage:
     xml = serialize(rst)
-    if len(xml.encode("utf-8")) > WREQ_MAX_BYTES:
-        raise RequestTooLarge(
-            f"wreq of {len(xml.encode('utf-8'))} bytes exceeds {WREQ_MAX_BYTES}"
-        )
+    _cap("wreq", xml, WREQ_MAX_BYTES)
     params = [("wa", WSIGNIN), ("wreq", xml)]
     if wctx:
         params.append(("wctx", wctx))
@@ -154,6 +153,7 @@ def decode_wsfed_signin(params: Mapping[str, str]) -> tuple[WstRequestSecurityTo
     if wa != WSIGNIN:
         raise ProtocolError(f"wa must be {WSIGNIN}, got {wa!r}")
     xml = _require(params, "wreq")
+    _cap("wreq", xml, WREQ_MAX_BYTES)
     wctx = params.get("wctx", "")
     _cap("wctx", wctx, MAX_ECHOED_BYTES)
     rst = parse(xml, WstRequestSecurityToken)

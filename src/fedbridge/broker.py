@@ -80,14 +80,12 @@ from .errors import (
     UnknownIssuer,
 )
 from .httpd import (
-    HttpRequest,
     HttpResponse,
     RouteHandler,
     ServerHandle,
     form_response,
     page_response,
     redirect_response,
-    start_server,
 )
 from .messages import (
     EntityId,
@@ -537,7 +535,7 @@ class Broker:
 
     def routes(self) -> dict[tuple[str, str], RouteHandler]:
         routes = {
-            (method, path): self._route(method, handler, respond)
+            (method, path): self._route(handler, respond)
             for method, path, handler, respond in (
                 ("GET", "/saml/sso", self.handle_saml_sso, redirect_response),
                 ("POST", "/wsfed/return", self.handle_wsfed_return, form_response),
@@ -548,12 +546,11 @@ class Broker:
         routes["GET", "/healthz"] = lambda _: page_response("ok", self.broker_id.value)
         return routes
 
-    def _route(self, method: str, handler, respond) -> RouteHandler:
+    def _route(self, handler, respond) -> RouteHandler:
         """A handle_* operation over HTTP; a refusal is logged under its leg."""
         leg = handler.__name__.removeprefix("handle_")
 
-        def route(request: HttpRequest) -> HttpResponse:
-            params = request.query if method == "GET" else request.form
+        def route(params: dict[str, str]) -> HttpResponse:
             try:
                 return respond(handler(params))
             except FedBridgeError as exc:
@@ -564,6 +561,6 @@ class Broker:
         return route
 
     def serve(self) -> ServerHandle:
-        return start_server(
+        return ServerHandle(
             self.config.listen_host, self.config.listen_port, self.routes(), "broker"
         )

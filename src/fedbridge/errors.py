@@ -33,6 +33,12 @@ class InvariantViolation(FedBridgeError):
     code = "InvariantViolation"
 
 
+class DtdForbidden(FedBridgeError):
+    """A document type declaration: its entities would be expanded first."""
+
+    code = "DtdForbidden"
+
+
 # --- signing ------------------------------------------------------------------
 
 class SignatureInvalid(FedBridgeError):

@@ -1,10 +1,12 @@
 """The HTTP/1.1 core shared by the broker, the mock actors and the passive
 client, and the route server built on it.
 
-Routes are plain callables from a parsed request to a response. A raised
-FedBridgeError becomes an HTML error page for the passive client plus an
-``X-Error`` header carrying the machine-readable code, since a browser
-mid-redirect cannot digest a structured fault body.
+A route maps its binding's parameters to a response: a GET route gets the
+first value of each query parameter, a POST route the first value of each
+form field. The route table is keyed by (method, path), so each route knows
+which one it gets. A raised FedBridgeError becomes an HTML error page for
+the passive client plus an ``X-Error`` header carrying the machine-readable
+code, since a browser mid-redirect cannot digest a structured fault body.
 
 One head reader serves both ends: the server reads requests with
 ``read_head`` and ``fedbridge.client`` reads responses with it. It reads a
@@ -32,7 +34,8 @@ Connections are persistent HTTP/1.1 (RFC 9112 §9.3), one daemon thread each:
   instead of a reset;
 - a client that closes, resets or stalls ends its connection with a debug
   log line, not a traceback;
-- ``ServerHandle.stop()`` ends the kept-alive connections too.
+- a running server is one ``ServerHandle``: built, it listens and accepts;
+  its ``stop()`` ends the accept loop and the kept-alive connections.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ import logging
 import socket
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from http import HTTPStatus
-from typing import BinaryIO, Callable, Mapping
+from typing import BinaryIO, Callable
 from urllib.parse import parse_qs
 
 from .bindings import PostMessage, RedirectMessage, auto_post_html
@@ -69,23 +72,14 @@ _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
 
 
 @dataclass
-class HttpRequest:
-    method: str
-    path: str
-    query: dict[str, str]
-    form: dict[str, str]
-    headers: Mapping[str, str]
-
-
-@dataclass
 class HttpResponse:
     status: int = 200
     body: bytes = b""
-    content_type: str = "text/html; charset=utf-8"
     headers: tuple[tuple[str, str], ...] = ()
 
 
-RouteHandler = Callable[[HttpRequest], HttpResponse]
+# A GET route gets the query's parameters, a POST route the form's fields.
+RouteHandler = Callable[[dict[str, str]], HttpResponse]
 
 
 class MalformedHead(ProtocolError):
@@ -161,57 +155,12 @@ def error_response(error: FedBridgeError) -> HttpResponse:
     )
 
 
-class _RouteServer:
-    """A listening socket whose accepted connections each get a daemon
-    thread of their own."""
-
-    def __init__(self, address, routes: dict[tuple[str, str], RouteHandler], name: str):
-        # A short listen backlog resets connections when a burst of clients
-        # connects at once.
-        self.socket = socket.create_server(address, backlog=128)
-        self.socket.settimeout(_ACCEPT_POLL_S)
-        self.server_address = self.socket.getsockname()
-        self.routes = routes
-        self.name = name
-        self.stopping = threading.Event()
-        # Kept-alive connections outlive the accept loop; close() ends them.
-        self._connections: set[socket.socket] = set()
-        self._connections_lock = threading.Lock()
-
-    def serve_forever(self) -> None:
-        while not self.stopping.is_set():
-            try:
-                sock, address = self.socket.accept()
-            except TimeoutError:
-                continue
-            except OSError as exc:  # out of descriptors, say: try again later
-                logger.warning("%s: accept failed: %r", self.name, exc)
-                self.stopping.wait(_ACCEPT_POLL_S)
-                continue
-            with self._connections_lock:
-                self._connections.add(sock)
-            threading.Thread(target=_Connection(self, sock, address).serve, daemon=True).start()
-
-    def forget(self, sock: socket.socket) -> None:
-        with self._connections_lock:
-            self._connections.discard(sock)
-
-    def close(self) -> None:
-        self.socket.close()
-        with self._connections_lock:
-            for connection in self._connections:
-                try:
-                    connection.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-
-
 class _Connection:
     """One accepted connection, served request by request on its own thread."""
 
     timeout = IDLE_TIMEOUT_S
 
-    def __init__(self, server: _RouteServer, sock: socket.socket, address) -> None:
+    def __init__(self, server: ServerHandle, sock: socket.socket, address) -> None:
         self.server = server
         self.sock = sock
         self.address = address
@@ -288,15 +237,9 @@ class _Connection:
         if handler is None:
             response = page_response("Not Found", path, status=404)
         else:
-            request = HttpRequest(
-                method=method,
-                path=path,
-                query=first_values(query),
-                form=first_values(body.decode("utf-8", errors="replace")) if method == "POST" else {},
-                headers=dict(fields),
-            )
+            params = body.decode("utf-8", errors="replace") if method == "POST" else query
             try:
-                response = handler(request)
+                response = handler(first_values(params))
             except FedBridgeError as exc:
                 response = error_response(exc)
             except Exception:
@@ -331,7 +274,7 @@ class _Connection:
             extra += "Connection: close\r\n"
         status_line = _STATUS_LINES.get(status) or f"HTTP/1.1 {status} \r\n"
         head = (
-            f"{status_line}Content-Type: {response.content_type}\r\nContent-Length: {len(body)}\r\n"
+            f"{status_line}Content-Type: text/html; charset=utf-8\r\nContent-Length: {len(body)}\r\n"
             f"Cache-Control: no-store\r\nDate: {_http_date()}\r\n{extra}\r\n"
         )
         self._write(head.encode("latin-1") + body)
@@ -340,33 +283,56 @@ class _Connection:
         self.sock.sendall(data)
 
 
-@dataclass
 class ServerHandle:
-    """A running HTTP actor; stop() shuts it down and joins the thread."""
+    """A running HTTP actor: a listening socket and its accept thread, whose
+    accepted connections each get a daemon thread of their own. stop() ends
+    the accept loop and the kept-alive connections."""
 
-    name: str
-    server: _RouteServer
-    thread: threading.Thread
-    host: str = field(init=False)
-    port: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.host, self.port = self.server.server_address[:2]
+    def __init__(self, host: str, port: int,
+                 routes: dict[tuple[str, str], RouteHandler], name: str) -> None:
+        # A short listen backlog resets connections when a burst of clients
+        # connects at once.
+        self.socket = socket.create_server((host, port), backlog=128)
+        self.socket.settimeout(_ACCEPT_POLL_S)
+        self.host, self.port = self.socket.getsockname()[:2]
+        self.routes = routes
+        self.name = name
+        self._stopping = threading.Event()
+        # Kept-alive connections outlive the accept loop; stop() ends them.
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        self._thread = threading.Thread(target=self._accept, name=f"httpd-{name}", daemon=True)
+        self._thread.start()
 
     @property
     def base_url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
+    def _accept(self) -> None:
+        while not self._stopping.is_set():
+            try:
+                sock, address = self.socket.accept()
+            except TimeoutError:
+                continue
+            except OSError as exc:  # out of descriptors, say: try again later
+                logger.warning("%s: accept failed: %r", self.name, exc)
+                self._stopping.wait(_ACCEPT_POLL_S)
+                continue
+            with self._connections_lock:
+                self._connections.add(sock)
+            threading.Thread(target=_Connection(self, sock, address).serve, daemon=True).start()
+
+    def forget(self, sock: socket.socket) -> None:
+        with self._connections_lock:
+            self._connections.discard(sock)
+
     def stop(self) -> None:
-        self.server.stopping.set()
-        self.thread.join(timeout=5)
-        self.server.close()
-
-
-def start_server(
-    host: str, port: int, routes: dict[tuple[str, str], RouteHandler], name: str
-) -> ServerHandle:
-    server = _RouteServer((host, port), routes, name)
-    thread = threading.Thread(target=server.serve_forever, name=f"httpd-{name}", daemon=True)
-    thread.start()
-    return ServerHandle(name=name, server=server, thread=thread)
+        self._stopping.set()
+        self._thread.join(timeout=5)
+        self.socket.close()
+        with self._connections_lock:
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass

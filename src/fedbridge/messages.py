@@ -24,7 +24,7 @@ from typing import TypeVar, Union
 from urllib.parse import urlparse
 from xml.etree import ElementTree as ET
 
-from .errors import InvariantViolation, MalformedXml, WrongNamespace
+from .errors import DtdForbidden, InvariantViolation, MalformedXml, WrongNamespace
 
 SAMLP_NS = "urn:oasis:names:tc:SAML:2.0:protocol"
 SAML_NS = "urn:oasis:names:tc:SAML:2.0:assertion"
@@ -534,28 +534,25 @@ def _split_tag(tag: str) -> tuple[str, str]:
     return "", tag
 
 
-def _child(el: ET.Element, ns: str, local: str, *, required: bool = True) -> ET.Element | None:
+def _child(el: ET.Element, ns: str, local: str) -> ET.Element:
     found = el.find(_tag(ns, local))
-    if found is None and required:
+    if found is None:
         raise InvariantViolation(f"missing element {local}")
     return found
 
 
-def _text(el: ET.Element | None, what: str, *, strip: bool = True) -> str:
-    if el is None:
-        raise InvariantViolation(f"missing element {what}")
-    text = el.text or ""
-    return text.strip() if strip else text
+def _text(el: ET.Element) -> str:
+    return (el.text or "").strip()
 
 
 def _parse_authn_request(root: ET.Element) -> SamlAuthnRequest:
-    issuer = _text(_child(root, SAML_NS, "Issuer"), "saml:Issuer")
+    issuer = _text(_child(root, SAML_NS, "Issuer"))
     policy = root.find(_tag(SAMLP_NS, "NameIDPolicy"))
     requested = root.find(_tag(SAMLP_NS, "RequestedAuthnContext"))
     classes: tuple[str, ...] = ()
     if requested is not None:
         classes = tuple(
-            _text(ref, "saml:AuthnContextClassRef")
+            _text(ref)
             for ref in requested.findall(_tag(SAML_NS, "AuthnContextClassRef"))
         )
     if "ID" not in root.attrib:
@@ -575,16 +572,13 @@ def _parse_authn_request(root: ET.Element) -> SamlAuthnRequest:
 
 
 def _parse_assertion(root: ET.Element) -> SamlAssertion:
-    issuer = _text(_child(root, SAML_NS, "Issuer"), "saml:Issuer")
+    issuer = _text(_child(root, SAML_NS, "Issuer"))
     subject = _child(root, SAML_NS, "Subject")
     name_id = _child(subject, SAML_NS, "NameID")
     conditions = _child(root, SAML_NS, "Conditions")
     authn_statement = _child(root, SAML_NS, "AuthnStatement")
     authn_context = _child(authn_statement, SAML_NS, "AuthnContext")
-    class_ref = _text(
-        _child(authn_context, SAML_NS, "AuthnContextClassRef"),
-        "saml:AuthnContextClassRef",
-    )
+    class_ref = _text(_child(authn_context, SAML_NS, "AuthnContextClassRef"))
 
     signature = None
     sig_el = root.find(_tag(SIG_NS, "Signature"))
@@ -632,7 +626,7 @@ def _parse_assertion(root: ET.Element) -> SamlAssertion:
 
 
 def _parse_response(root: ET.Element) -> SamlResponse:
-    issuer = _text(_child(root, SAML_NS, "Issuer"), "saml:Issuer")
+    issuer = _text(_child(root, SAML_NS, "Issuer"))
     status_el = _child(root, SAMLP_NS, "Status")
     code_el = _child(status_el, SAMLP_NS, "StatusCode")
     status_uri = code_el.attrib.get("Value", "")
@@ -660,8 +654,8 @@ def _parse_response(root: ET.Element) -> SamlResponse:
 
 
 def _parse_rst(root: ET.Element) -> WstRequestSecurityToken:
-    request_type = _text(_child(root, WST_NS, "RequestType"), "wst:RequestType")
-    token_type = _text(_child(root, WST_NS, "TokenType"), "wst:TokenType")
+    request_type = _text(_child(root, WST_NS, "RequestType"))
+    token_type = _text(_child(root, WST_NS, "TokenType"))
 
     claims_dialect = None
     claim_types: tuple[str, ...] = ()
@@ -677,17 +671,17 @@ def _parse_rst(root: ET.Element) -> WstRequestSecurityToken:
     authentication_type = None
     auth_el = root.find(_tag(WST_NS, "AuthenticationType"))
     if auth_el is not None:
-        authentication_type = _text(auth_el, "wst:AuthenticationType")
+        authentication_type = _text(auth_el)
 
     force_authn = False
     fresh_el = root.find(_tag(FED_NS, "Freshness"))
     if fresh_el is not None:
-        if _text(fresh_el, "fed:Freshness") != "0":
+        if _text(fresh_el) != "0":
             raise InvariantViolation("fed:Freshness carries an unsupported value")
         force_authn = True
 
     reply_to_el = _child(root, WSA_NS, "ReplyTo")
-    reply_to = _text(_child(reply_to_el, WSA_NS, "Address"), "wsa:Address")
+    reply_to = _text(_child(reply_to_el, WSA_NS, "Address"))
 
     return WstRequestSecurityToken(
         context=root.attrib.get("Context", ""),
@@ -702,13 +696,13 @@ def _parse_rst(root: ET.Element) -> WstRequestSecurityToken:
 
 
 def _parse_rstr(root: ET.Element) -> WstRequestSecurityTokenResponse:
-    token_type = _text(_child(root, WST_NS, "TokenType"), "wst:TokenType")
+    token_type = _text(_child(root, WST_NS, "TokenType"))
 
     lifetime = None
     lifetime_el = root.find(_tag(WST_NS, "Lifetime"))
     if lifetime_el is not None:
-        created = _text(_child(lifetime_el, WSU_NS, "Created"), "wsu:Created")
-        expires = _text(_child(lifetime_el, WSU_NS, "Expires"), "wsu:Expires")
+        created = _text(_child(lifetime_el, WSU_NS, "Created"))
+        expires = _text(_child(lifetime_el, WSU_NS, "Expires"))
         lifetime = (
             parse_instant(created, "wsu:Created"),
             parse_instant(expires, "wsu:Expires"),
@@ -748,16 +742,22 @@ _PARSERS = {
 def parse(xml: str, expected_kind: type[TDoc]) -> TDoc:
     """Parse XML text into the expected protocol document type.
 
-    Raises MalformedXml for syntax errors or an unexpected root element,
-    WrongNamespace when the root element's namespace is not the one the
-    expected kind declares, InvariantViolation when the document is
-    structurally valid XML but breaks a type invariant.
+    Raises DtdForbidden for a document type declaration, before any parse:
+    the parser would expand its internal entities first. Raises MalformedXml
+    for syntax errors or an unexpected root element, WrongNamespace when the
+    root element's namespace is not the one the expected kind declares,
+    InvariantViolation when the document is structurally valid XML but
+    breaks a type invariant.
     """
     try:
         ns, local, reader = _PARSERS[expected_kind]
     except KeyError:
         raise TypeError(f"not a protocol document kind: {expected_kind!r}") from None
 
+    # XML spells the declaration exactly so, and a str is parsed as UTF-8
+    # whatever encoding its XML declaration names.
+    if "<!DOCTYPE" in xml:
+        raise DtdForbidden("a document type declaration is not accepted")
     try:
         root = ET.fromstring(xml)
     except ET.ParseError as exc:

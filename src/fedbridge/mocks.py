@@ -34,7 +34,6 @@ from .bindings import (
 )
 from .errors import FedBridgeError, LifetimeInvalid, NoSubject, TokenMissing, UnknownSubject
 from .httpd import (
-    HttpRequest,
     HttpResponse,
     RouteHandler,
     form_response,
@@ -176,10 +175,7 @@ class MockWsfedSts(MockAuthority):
         return encode_wsfed_signin_response_post(rstr, wctx, rst.reply_to)
 
     def routes(self) -> dict[tuple[str, str], RouteHandler]:
-        def signin(request: HttpRequest) -> HttpResponse:
-            return form_response(self.handle_signin(request.query))
-
-        return {("GET", "/signin"): signin}
+        return {("GET", "/signin"): lambda query: form_response(self.handle_signin(query))}
 
 
 class MockSamlIdp(MockAuthority):
@@ -207,10 +203,7 @@ class MockSamlIdp(MockAuthority):
         return encode_saml_response_post(response, relay_state, req.acs_url)
 
     def routes(self) -> dict[tuple[str, str], RouteHandler]:
-        def sso(request: HttpRequest) -> HttpResponse:
-            return form_response(self.handle_sso(request.query))
-
-        return {("GET", "/sso"): sso}
+        return {("GET", "/sso"): lambda query: form_response(self.handle_sso(query))}
 
 
 class _MockSpBase:
@@ -332,13 +325,10 @@ class MockSamlSp(_MockSpBase):
         return self._established(context)
 
     def routes(self) -> dict[tuple[str, str], RouteHandler]:
-        def login(_: HttpRequest) -> HttpResponse:
-            return redirect_response(self.start_login())
-
-        def acs(request: HttpRequest) -> HttpResponse:
-            return self.handle_acs(request.form)
-
-        return {("GET", "/login"): login, ("POST", "/acs"): acs}
+        return {
+            ("GET", "/login"): lambda _: redirect_response(self.start_login()),
+            ("POST", "/acs"): self.handle_acs,
+        }
 
 
 class MockWsfedSp(_MockSpBase):
@@ -378,10 +368,7 @@ class MockWsfedSp(_MockSpBase):
         return self._established(context)
 
     def routes(self) -> dict[tuple[str, str], RouteHandler]:
-        def login(_: HttpRequest) -> HttpResponse:
-            return redirect_response(self.start_login())
-
-        def wsfed_return(request: HttpRequest) -> HttpResponse:
-            return self.handle_return(request.form)
-
-        return {("GET", "/login"): login, ("POST", "/return"): wsfed_return}
+        return {
+            ("GET", "/login"): lambda _: redirect_response(self.start_login()),
+            ("POST", "/return"): self.handle_return,
+        }

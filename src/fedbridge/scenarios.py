@@ -25,7 +25,7 @@ from .broker import Broker
 from .client import ClientResult, PassiveClient, ScenarioTrace
 from .config import BrokerConfig, load_config
 from .errors import ScenarioSetupError
-from .httpd import ServerHandle, start_server
+from .httpd import ServerHandle
 from .messages import EntityId
 from .mocks import MockSamlIdp, MockSamlSp, MockWsfedSp, MockWsfedSts
 from .signing import generate_keypair, save_key_pem
@@ -126,7 +126,7 @@ def start_environment(config: BrokerConfig, *, with_broker: bool = True) -> Envi
                 f"{name} and {started[address]} both want {address[0]}:{address[1]}"
             )
         try:
-            handle = start_server(address[0], address[1], routes, name)
+            handle = ServerHandle(address[0], address[1], routes, name)
         except OSError as exc:
             raise ScenarioSetupError(f"cannot bind {name} at {address}: {exc}") from None
         env.handles.append(handle)
@@ -302,20 +302,13 @@ def free_ports(count: int, host: str = "127.0.0.1") -> list[int]:
             sock.close()
 
 
-def build_demo_config(
-    directory: str | Path,
-    *,
-    host: str = "127.0.0.1",
-    ports: list[int] | None = None,
-) -> dict:
+def build_demo_config(directory: str | Path, *, host: str = "127.0.0.1") -> dict:
     """Write keys and master secret under ``directory`` and return a config
     dict wiring one broker, one authority and one provider per dialect."""
     directory = Path(directory)
     keys_dir = directory / "keys"
     keys_dir.mkdir(parents=True, exist_ok=True)
-    if ports is None:
-        ports = free_ports(5, host)
-    broker_port, sts_port, idp_port, saml_sp_port, wsfed_sp_port = ports
+    broker_port, sts_port, idp_port, saml_sp_port, wsfed_sp_port = free_ports(5, host)
 
     broker_id = "https://broker.example.test"
     sts_id = "https://sts.example.test"
@@ -432,15 +425,10 @@ def build_demo_config(
     }
 
 
-def write_demo_config(
-    directory: str | Path,
-    *,
-    host: str = "127.0.0.1",
-    ports: list[int] | None = None,
-) -> Path:
+def write_demo_config(directory: str | Path, *, host: str = "127.0.0.1") -> Path:
     """Materialize a runnable demo deployment; returns the config file path."""
     directory = Path(directory)
-    data = build_demo_config(directory, host=host, ports=ports)
+    data = build_demo_config(directory, host=host)
     path = directory / "config.json"
     path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
     return path

@@ -2,8 +2,8 @@
 
 Signatures are detached: they cover exactly ``canonical_bytes`` of the
 assertion, so re-signing swaps the signature without perturbing a single
-content byte. The scheme is pluggable behind ``algorithm_id``; the default
-build registers Ed25519.
+content byte. Ed25519 is the only scheme: ``sign`` names it in
+``algorithm_id``, and ``verify`` refuses any other.
 """
 
 from __future__ import annotations
@@ -109,9 +109,9 @@ class KeyStore:
     Built once, at configuration load, and read-only afterwards.
     """
 
-    def __init__(self, records: list[KeyRecord] | None = None):
+    def __init__(self, records: list[KeyRecord]):
         self._records: dict[str, KeyRecord] = {}
-        for record in records or []:
+        for record in records:
             if record.role is not KeyRole.VERIFYING_PUBLIC:
                 raise WrongKeyRole(f"key store holds verifying keys only: {record.key_id}")
             if self._records.setdefault(record.key_id, record) != record:

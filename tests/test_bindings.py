@@ -16,6 +16,7 @@ from fedbridge.bindings import (
     MAX_INFLATED_BYTES,
     MAX_RELAY_STATE_BYTES,
     WREQ_MAX_BYTES,
+    WSIGNIN,
     auto_post_html,
     decode_saml_redirect,
     decode_saml_response_post,
@@ -27,7 +28,7 @@ from fedbridge.bindings import (
     encode_wsfed_signin_response_post,
 )
 from fedbridge.client import extract_form
-from fedbridge.errors import ProtocolError, RequestTooLarge
+from fedbridge.errors import DtdForbidden, ProtocolError, RequestTooLarge
 from fedbridge.messages import SamlStatus, canonical_bytes, parse, serialize, SamlAuthnRequest
 
 from support import (
@@ -246,6 +247,10 @@ ECHOED = {
         location_params(encode_wsfed_signin(make_rst(), value, IDP_URL)))),
     "wsfed-signin-Context": (decode_wsfed_signin, MAX_ECHOED_BYTES, lambda value: (
         location_params(encode_wsfed_signin(make_rst(context=value), "", IDP_URL)))),
+    # Not echoed, but capped the same way: the request document, padded with
+    # the blanks XML allows after its root element.
+    "wsfed-signin-wreq": (decode_wsfed_signin, WREQ_MAX_BYTES, lambda value: (
+        {"wa": WSIGNIN, "wreq": serialize(make_rst()).ljust(len(value))})),
 }
 
 
@@ -265,6 +270,46 @@ class TestEchoedValueCaps:
         decode(params("é" * (limit // 2)))
         with pytest.raises(RequestTooLarge):
             decode(params("é" * (limit // 2 + 1)))
+
+
+# Three levels of internal entities, referenced from an attribute no reader
+# looks at: a parser that honours them reads a thousand characters there.
+ENTITIES = (
+    '<!DOCTYPE d [<!ENTITY a "aaaaaaaaaa">'
+    '<!ENTITY b "&a;&a;&a;&a;&a;&a;&a;&a;&a;&a;">'
+    '<!ENTITY c "&b;&b;&b;&b;&b;&b;&b;&b;&b;&b;">]>'
+)
+
+
+def entity_document(document) -> str:
+    tag, _, rest = serialize(document).partition(" ")
+    return f'{ENTITIES}{tag} x="&c;" {rest}'
+
+
+def base64_text(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+# Each decoder, called on parameters that carry an entity document.
+DECODE_ENTITY_DOCUMENT = {
+    "SAMLRequest": lambda: decode_saml_redirect({"SAMLRequest": base64_text(
+        zlib.compress(entity_document(make_authn_request()).encode())[2:-4])}),
+    "wreq": lambda: decode_wsfed_signin({"wa": WSIGNIN, "wreq": entity_document(make_rst())}),
+    "SAMLResponse": lambda: decode_saml_response_post({"SAMLResponse": base64_text(
+        entity_document(make_response()).encode())}),
+    "wresult": lambda: decode_wsfed_signin_response_post(
+        {"wa": WSIGNIN, "wresult": entity_document(make_rstr())}),
+}
+
+
+class TestDocumentTypeDeclaration:
+    """A document type declaration is refused before the parser could expand
+    its entities, whichever parameter carries it."""
+
+    @pytest.mark.parametrize("parameter", list(DECODE_ENTITY_DOCUMENT))
+    def test_entity_document_refused(self, parameter):
+        with pytest.raises(DtdForbidden):
+            DECODE_ENTITY_DOCUMENT[parameter]()
 
 
 class TestAutoPostHtml:

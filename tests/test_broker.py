@@ -604,7 +604,7 @@ ROUTE = ProviderRoute(
                         {"acs": "https://sp/acs"}),
     consumer="https://sp/acs",
     ip=FederationEntity(EntityId(STS), Role.IDENTITY_PROVIDER, Dialect.WSFED11B),
-    ip_keys=KeyStore(),
+    ip_keys=KeyStore([]),
     rewrite=None,
 )
 

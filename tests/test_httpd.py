@@ -256,6 +256,36 @@ class TestBodyFraming:
                 assert healthz.status == 200
 
 
+class TestRouteParameters:
+    """A GET route reads only the query, a POST route only the form."""
+
+    @staticmethod
+    def _refusal(env, method: str, target: str, body: str) -> tuple[int, str | None, str]:
+        connection = http.client.HTTPConnection(*_broker_address(env), timeout=5)
+        try:
+            connection.request(method, target, body=body.encode(), headers={
+                "Content-Type": "application/x-www-form-urlencoded"})
+            response = connection.getresponse()
+            return response.status, response.getheader("X-Error"), response.read().decode()
+        finally:
+            connection.close()
+
+    def test_post_ignores_a_correlation_in_its_query(self, demo_cfg):
+        with environment(demo_cfg) as env:
+            status, error, page = self._refusal(
+                env, "POST", "/wsfed/return?wctx=abc", "wa=wsignin1.0&wresult=x")
+        assert (status, error) == (400, "ProtocolError")
+        assert "missing parameter wctx" in page
+
+    def test_get_ignores_a_request_in_its_body(self, demo_cfg):
+        with environment(demo_cfg) as env:
+            location = env.saml_sp.start_login().location
+            status, error, page = self._refusal(
+                env, "GET", "/saml/sso", location.partition("?")[2])
+        assert (status, error) == (400, "ProtocolError")
+        assert "missing parameter SAMLRequest" in page
+
+
 def _healthz(*lines: bytes, start: bytes = b"GET /healthz HTTP/1.1") -> bytes:
     return b"\r\n".join((start, b"Host: broker", *lines)) + b"\r\n\r\n"
 

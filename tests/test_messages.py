@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from fedbridge.errors import InvariantViolation, MalformedXml, WrongNamespace
 from fedbridge.messages import (
+    STATUS_URI_PREFIX,
     EntityId,
     SamlAuthnRequest,
     SamlResponse,
@@ -93,6 +94,42 @@ class TestSerialize:
             serialize("<xml/>")  # type: ignore[arg-type]
 
 
+# A document, one edit of its serialized text, and the message that one
+# parser check alone gives for the edited text.
+_SIGNED = make_assertion(signature=Signature("idp-signing", "ed25519", b"\x01" * 64))
+# As long as the prefix: without the prefix check, cutting the prefix's
+# length off this value would leave a valid code.
+_UPPER_PREFIX = STATUS_URI_PREFIX.upper()
+REFUSALS = {
+    "authn-request-without-ID": (make_authn_request(id="_r"), ' ID="_r"', "",
+                                 "samlp:AuthnRequest missing ID"),
+    "assertion-without-ID": (make_assertion(id="_a"), ' ID="_a"', "",
+                             "saml:Assertion missing ID"),
+    "response-without-ID": (make_response(id="_p"), ' ID="_p"', "",
+                            "samlp:Response missing ID"),
+    "assertion-with-empty-ID": (make_assertion(id="_a"), ' ID="_a"', ' ID=""',
+                                "SamlAssertion.id must be non-empty"),
+    "response-with-empty-ID": (make_response(id="_p"), ' ID="_p"', ' ID=""',
+                               "SamlResponse.id must be non-empty"),
+    "status-without-its-prefix": (make_response(), STATUS_URI_PREFIX, _UPPER_PREFIX,
+                                  f"samlp:StatusCode has unknown value "
+                                  f"{_UPPER_PREFIX + 'Success'!r}"),
+    "status-with-an-unknown-code": (make_response(), ":status:Success", ":status:Unknown",
+                                    f"samlp:StatusCode has unknown value "
+                                    f"{STATUS_URI_PREFIX + 'Unknown'!r}"),
+    "claims-without-Dialect": (make_rst(claims_dialect="urn:x-test:d"), ' Dialect="urn:x-test:d"',
+                               "", "wst:Claims missing Dialect"),
+    "freshness-other-than-0": (make_rst(force_authn=True), ">0</fed:Freshness>",
+                               ">1</fed:Freshness>", "fed:Freshness carries an unsupported value"),
+    "token-without-an-assertion": (make_rstr(), "saml:Assertion", "saml:Token",
+                                   "wst:RequestedSecurityToken carries no saml:Assertion"),
+    "signature-value-not-base64": (_SIGNED, ' Value="AQEB', ' Value="!QEB',
+                                   "sig:Signature Value is not base64"),
+    "attribute-without-Name": (make_assertion(), ' Name="urn:example:attr:mail"', "",
+                               "saml:Attribute missing Name"),
+}
+
+
 class TestParse:
     @pytest.mark.parametrize(
         "doc",
@@ -160,6 +197,15 @@ class TestParse:
         with pytest.raises(InvariantViolation) as err:
             parse(xml, WstRequestSecurityToken)
         assert "RequestType" in str(err.value)
+
+    @pytest.mark.parametrize("case", list(REFUSALS))
+    def test_each_check_refuses_with_its_own_message(self, case):
+        document, old, new, message = REFUSALS[case]
+        xml = serialize(document)
+        assert old in xml
+        with pytest.raises(InvariantViolation) as err:
+            parse(xml.replace(old, new), type(document))
+        assert str(err.value) == f"InvariantViolation: {message}"
 
     def test_parse_ignores_attribute_order(self):
         doc = make_authn_request()

@@ -7,7 +7,8 @@ shared paths, relay decision and four ``handle_*`` methods, its request
 plan (``compile`` and the ``route`` lookup), its two expiring stores
 (``SeenRequestIds.observe``, ``CorrelationStore.put`` and ``consume``),
 configuration load, key loading, the SAML response POST decoder and both
-request decoders with the size cap they share (``_cap``), the XML parser,
+request decoders with the size cap they share (``_cap``), the XML parser
+with its five document readers and the required-child lookup (``_child``),
 the trust topology's validation and pair check, and the mock service
 providers' relying-party path (``accept``, ``_consume`` and both handlers)
 with the mock authorities' ``authenticate``: the oracle of what a final
@@ -56,7 +57,8 @@ CHECKED = {
     "signing": {None: {"load_key_pem"}},
     "bindings": {None: {"decode_saml_redirect", "decode_wsfed_signin", "decode_saml_response_post",
                         "_cap"}},
-    "messages": {None: {"parse"}},
+    "messages": {None: {"parse", "_parse_authn_request", "_parse_assertion", "_parse_response",
+                        "_parse_rst", "_parse_rstr", "_child"}},
     "trust": {"TrustTopology": {"__init__"}, None: {"_require_pair"}},
     "mocks": {
         "_MockSpBase": {"accept", "_consume"},
